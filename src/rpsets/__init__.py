@@ -25,7 +25,7 @@ from .counting import (
     phi_interval,
     phik_interval,
 )
-from .exactmath import ExactInt, binomial, floor_quot, pow2
+from .exactmath import binomial, pow2
 from .oracle import (
     HARD_WIDTH_CAP,
     OracleConfig,
@@ -38,7 +38,6 @@ from .sieve import (
     SieveTable,
     build_sieve,
     divisors,
-    shared_table,
     smallest_prime_divisor,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "CapacityError",
     "CountQuery",
     "DEFAULT_LIMIT_CAP",
-    "ExactInt",
     "Family",
     "HARD_WIDTH_CAP",
     "OracleConfig",
@@ -66,7 +64,6 @@ __all__ = [
     "f_interval",
     "f_upto",
     "fk_interval",
-    "floor_quot",
     "oracle_count",
     "oracle_gcd_class_counts",
     "partition_identity_f",
@@ -78,7 +75,6 @@ __all__ = [
     "pow2",
     "reports_to_csv",
     "reports_to_json",
-    "shared_table",
     "smallest_prime_divisor",
     "__version__",
 ]

@@ -10,11 +10,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .counting import (
     _check_interval,
-    _check_k,
-    _check_table,
     f_interval,
     fk_interval,
     phi_interval,
@@ -75,25 +74,24 @@ def reports_to_json(reports: list[BoundReport]) -> str:
     return json.dumps([r.to_record() for r in reports], indent=2) + "\n"
 
 
-def reports_to_csv(reports: list[BoundReport]) -> str:
-    """Same columns as the JSON records; None becomes an empty cell and
-    booleans serialize as true/false to match JSON."""
+def _csv_text(columns: list[str], records) -> str:
+    """The given columns of each record as CSV under a header row. None
+    becomes an empty cell (the csv module's rule) and booleans serialize as
+    true/false, to match JSON."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for report in reports:
-        rec = report.to_record()
-        row = []
-        for col in _CSV_COLUMNS:
-            val = rec[col]
-            if val is None:
-                row.append("")
-            elif isinstance(val, bool):
-                row.append("true" if val else "false")
-            else:
-                row.append(val)
-        writer.writerow(row)
+    writer.writerow(columns)
+    cells = itemgetter(*columns)
+    writer.writerows(
+        ["true" if v is True else "false" if v is False else v for v in cells(rec)]
+        for rec in records
+    )
     return buf.getvalue()
+
+
+def reports_to_csv(reports: list[BoundReport]) -> str:
+    """Same columns as the JSON records."""
+    return _csv_text(_CSV_COLUMNS, (r.to_record() for r in reports))
 
 
 def check_f(m: int, n: int, table: SieveTable) -> BoundReport:
@@ -131,11 +129,11 @@ def check_phik(m: int, n: int, k: int, table: SieveTable) -> BoundReport:
     return BoundReport("T4", m, n, k, gap, upper, gap >= 0, gap <= upper)
 
 
-def partition_sum_f(m: int, n: int, table: SieveTable) -> int:
-    """Sum over d of f(floor(m/d), floor(n/d)), the gcd-class decomposition
-    of all nonempty subsets of {m+1, ..., n}."""
+def _partition_sum(m: int, n: int, count_fn) -> int:
+    """Sum over d of count_fn(floor(m/d), floor(n/d)), each distinct pair
+    counted once. The d = 1 term is count_fn(m, n), which checks the table
+    and k."""
     _check_interval(m, n)
-    _check_table(n, table)
     cache: dict[tuple[int, int], int] = {}
     total = 0
     for d in range(1, n + 1):
@@ -145,9 +143,15 @@ def partition_sum_f(m: int, n: int, table: SieveTable) -> int:
         key = (md, nd)
         val = cache.get(key)
         if val is None:
-            val = cache[key] = f_interval(md, nd, table)
+            val = cache[key] = count_fn(md, nd)
         total += val
     return total
+
+
+def partition_sum_f(m: int, n: int, table: SieveTable) -> int:
+    """Sum over d of f(floor(m/d), floor(n/d)), the gcd-class decomposition
+    of all nonempty subsets of {m+1, ..., n}."""
+    return _partition_sum(m, n, lambda a, b: f_interval(a, b, table))
 
 
 def partition_identity_f(m: int, n: int, table: SieveTable) -> bool:
@@ -157,21 +161,7 @@ def partition_identity_f(m: int, n: int, table: SieveTable) -> bool:
 
 def partition_sum_fk(m: int, n: int, k: int, table: SieveTable) -> int:
     """Cardinality-k slice of partition_sum_f."""
-    _check_interval(m, n)
-    _check_table(n, table)
-    _check_k(k)
-    cache: dict[tuple[int, int], int] = {}
-    total = 0
-    for d in range(1, n + 1):
-        md, nd = m // d, n // d
-        if nd <= md:
-            continue
-        key = (md, nd)
-        val = cache.get(key)
-        if val is None:
-            val = cache[key] = fk_interval(md, nd, k, table)
-        total += val
-    return total
+    return _partition_sum(m, n, lambda a, b: fk_interval(a, b, k, table))
 
 
 def partition_identity_fk(m: int, n: int, k: int, table: SieveTable) -> bool:

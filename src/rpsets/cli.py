@@ -3,13 +3,12 @@ verification campaigns (closed forms vs brute force, theorem bounds,
 partition identities)."""
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
 
 from .bounds import (
+    _csv_text,
     check_f,
     check_fk,
     check_phi,
@@ -143,13 +142,7 @@ def build_table_records(spec: TableSpec, table: SieveTable) -> list[dict]:
 def render_records(records: list[dict], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(records, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", "m", "n", "k", "value"])
-    for rec in records:
-        k = "" if rec["k"] is None else rec["k"]
-        writer.writerow([rec["family"], rec["m"], rec["n"], k, rec["value"]])
-    return buf.getvalue()
+    return _csv_text(["family", "m", "n", "k", "value"], records)
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -192,8 +185,7 @@ def _sieve_cap(cfg: dict) -> int:
 
 def _run_compute(args, cfg: dict) -> int:
     family = Family(args.family.upper())
-    k = args.k if family in K_FAMILIES or args.k is not None else None
-    query = CountQuery(family, args.m, args.n, k)
+    query = CountQuery(family, args.m, args.n, args.k)
     table = build_sieve(query.n, cap=_sieve_cap(cfg))
     print(count(query, table))
     return EXIT_OK

@@ -7,8 +7,10 @@ For the integer interval {m+1, ..., n} with 0 <= m < n:
   phi(m, n)     nonempty subsets whose gcd is relatively prime to n
   phik(m, n, k) the same, restricted to cardinality k
 
-f and fk sum over all d up to n with the Mobius function as weights; phi and
-phik sum over the divisors of n only. Every value is an exact int.
+All four are one sum, Sigma mu(d) * g(floor(n/d) - floor(m/d)), with
+g(w) = 2^w - 1 (the nonempty subsets of a w-element set) for f and phi and
+g(w) = C(w, k) for fk and phik. f and fk sum over all d up to n, phi and
+phik over the divisors of n only. Every value is an exact int.
 """
 
 from dataclasses import dataclass
@@ -64,27 +66,36 @@ class CountQuery:
             raise ValueError(f"family {self.family.value} does not take k")
 
 
+def _mobius_sum(m: int, n: int, ds, mobius: list[int], g) -> int:
+    """Sum of mu(d) * g(n//d - m//d) over d in ds.
+
+    The Mobius weights are first added up per width, so g is called and its
+    (possibly huge) value added once per distinct width, not once per d.
+    """
+    weights: dict[int, int] = {}
+    for d in ds:
+        mu = mobius[d]
+        if mu:
+            width = n // d - m // d
+            weights[width] = weights.get(width, 0) + mu
+    total = 0
+    for width, weight in weights.items():
+        if weight:
+            total += weight * g(width)
+    if total < 0:
+        raise RuntimeError(f"negative count {total} for m={m}, n={n}")
+    return total
+
+
+def _nonempty(width: int) -> int:
+    return (1 << width) - 1
+
+
 def f_interval(m: int, n: int, table: SieveTable) -> int:
     """Number of nonempty relatively prime subsets of {m+1, ..., n}."""
     _check_interval(m, n)
     _check_table(n, table)
-    mobius = table.mobius
-    powers: dict[int, int] = {}
-    total = 0
-    for d in range(1, n + 1):
-        mu = mobius[d]
-        if mu == 0:
-            continue
-        width = n // d - m // d
-        if width == 0:
-            continue
-        term = powers.get(width)
-        if term is None:
-            term = powers[width] = (1 << width) - 1
-        total += term if mu > 0 else -term
-    if total < 0:
-        raise RuntimeError(f"negative count {total} for f({m}, {n})")
-    return total
+    return _mobius_sum(m, n, range(1, n + 1), table.mobius, _nonempty)
 
 
 def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
@@ -92,47 +103,19 @@ def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
     _check_interval(m, n)
     _check_table(n, table)
     _check_k(k)
-    mobius = table.mobius
+    if k > n - m:
+        return 0  # an (n-m)-element set has no k-subsets
     # floor(n/d) - floor(m/d) <= floor((n-m)/d) + 1, so once d*(k-1) > n-m
     # every binomial argument is below k and the terms are all zero.
     d_hi = n if k == 1 else min(n, (n - m) // (k - 1))
-    coeffs: dict[int, int] = {}
-    total = 0
-    for d in range(1, d_hi + 1):
-        mu = mobius[d]
-        if mu == 0:
-            continue
-        width = n // d - m // d
-        if width < k:
-            continue
-        term = coeffs.get(width)
-        if term is None:
-            term = coeffs[width] = binomial(width, k)
-        total += term if mu > 0 else -term
-    if total < 0:
-        raise RuntimeError(f"negative count {total} for fk({m}, {n}, {k})")
-    return total
+    return _mobius_sum(m, n, range(1, d_hi + 1), table.mobius, lambda w: binomial(w, k))
 
 
 def phi_interval(m: int, n: int, table: SieveTable) -> int:
     """Number of nonempty subsets of {m+1, ..., n} whose gcd is coprime to n."""
     _check_interval(m, n)
     _check_table(n, table)
-    if n == 1:
-        # The divisor-sum form counts the empty set as well when n = 1 (it
-        # gives 2); the definition counts only the one nonempty subset {1}.
-        return 1
-    mobius = table.mobius
-    total = 0
-    for d in divisors(n, table):
-        mu = mobius[d]
-        if mu == 0:
-            continue
-        term = 1 << (n // d - m // d)  # d | n, so n // d is exact
-        total += term if mu > 0 else -term
-    if total < 0:
-        raise RuntimeError(f"negative count {total} for phi({m}, {n})")
-    return total
+    return _mobius_sum(m, n, divisors(n, table), table.mobius, _nonempty)
 
 
 def phik_interval(m: int, n: int, k: int, table: SieveTable) -> int:
@@ -140,20 +123,9 @@ def phik_interval(m: int, n: int, k: int, table: SieveTable) -> int:
     _check_interval(m, n)
     _check_table(n, table)
     _check_k(k)
-    if n == 1:
-        # Same n = 1 convention as phi_interval: {1} is the only subset.
-        return 1 if k == 1 else 0
-    mobius = table.mobius
-    total = 0
-    for d in divisors(n, table):
-        mu = mobius[d]
-        if mu == 0:
-            continue
-        term = binomial(n // d - m // d, k)
-        total += term if mu > 0 else -term
-    if total < 0:
-        raise RuntimeError(f"negative count {total} for phik({m}, {n}, {k})")
-    return total
+    if k > n - m:
+        return 0
+    return _mobius_sum(m, n, divisors(n, table), table.mobius, lambda w: binomial(w, k))
 
 
 def f_upto(n: int, table: SieveTable) -> int:

@@ -1,13 +1,10 @@
 """Exact integer helpers shared by the counting and bound modules.
 
-Counts are plain Python ints (arbitrary precision already); ExactInt is an
-alias documenting that intent. The helpers pin down the edge conventions the
-summation loops rely on.
+Counts are plain Python ints (arbitrary precision already). The helpers pin
+down the edge conventions the sums rely on.
 """
 
 import math
-
-ExactInt = int
 
 
 def pow2(e: int) -> int:
@@ -25,11 +22,3 @@ def binomial(n: int, k: int) -> int:
         return 0
     return math.comb(n, k)
 
-
-def floor_quot(x: int, d: int) -> int:
-    """floor(x / d) for x >= 0, d >= 1."""
-    if d < 1:
-        raise ValueError(f"divisor must be >= 1, got {d}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return x // d

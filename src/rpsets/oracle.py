@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .counting import CountQuery, Family
+from .counting import CountQuery, Family, _check_interval
 
 HARD_WIDTH_CAP = 30
 
@@ -81,10 +81,7 @@ def oracle_gcd_class_counts(
 
     Only classes that actually occur appear as keys.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m >= n:
-        raise ValueError(f"m < n required (got m={m}, n={n})")
+    _check_interval(m, n)
     _check_width(m, n, config)
     out: dict[int, int] = {}
     for (g, _), c in _profile(m, n).items():

@@ -62,17 +62,6 @@ def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
     return SieveTable(limit=limit, mobius=mobius, spf=spf, totient=totient)
 
 
-_shared: SieveTable | None = None
-
-
-def shared_table(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
-    """Process-wide table, replaced (not extended) when a larger limit is asked for."""
-    global _shared
-    if _shared is None or _shared.limit < limit:
-        _shared = build_sieve(limit, cap)
-    return _shared
-
-
 def smallest_prime_divisor(n: int, table: SieveTable) -> int:
     if n < 2:
         raise ValueError(f"smallest prime divisor undefined for n={n}")

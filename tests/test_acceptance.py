@@ -47,7 +47,7 @@ def test_criterion_01_oracle_equivalence(report):
         for m in range(n):
             if f_interval(m, n, TABLE_200) != oracle_count(CountQuery(Family.F, m, n)):
                 bad.append(("F", m, n, None))
-            if n >= 2 and phi_interval(m, n, TABLE_200) != oracle_count(
+            if phi_interval(m, n, TABLE_200) != oracle_count(
                 CountQuery(Family.PHI, m, n)
             ):
                 bad.append(("PHI", m, n, None))
@@ -56,7 +56,7 @@ def test_criterion_01_oracle_equivalence(report):
                     CountQuery(Family.FK, m, n, k)
                 ):
                     bad.append(("FK", m, n, k))
-                if n >= 2 and phik_interval(m, n, k, TABLE_200) != oracle_count(
+                if phik_interval(m, n, k, TABLE_200) != oracle_count(
                     CountQuery(Family.PHIK, m, n, k)
                 ):
                     bad.append(("PHIK", m, n, k))

@@ -118,6 +118,17 @@ def test_partition_identities_moderate_sweep():
                 assert partition_identity_fk(m, n, k, TABLE), (m, n, k)
 
 
+def test_partition_sums_validate_arguments():
+    with pytest.raises(ValueError, match="m < n required"):
+        partition_sum_f(4, 4, TABLE)
+    with pytest.raises(ValueError, match="m < n required"):
+        partition_sum_fk(5, 4, 1, TABLE)
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        partition_sum_f(0, 401, TABLE)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        partition_sum_fk(0, 4, 0, TABLE)
+
+
 def test_report_serialization_round_trip():
     reports = [check_f(2, 6, TABLE), check_fk(2, 6, 2, TABLE), check_phi(2, 6, TABLE)]
     records = json.loads(reports_to_json(reports))

@@ -65,6 +65,20 @@ def test_table_json_values(capsys):
     assert records[0] == {"family": "F", "m": 0, "n": 1, "k": None, "value": "1"}
 
 
+def test_table_csv_bytes(capsys):
+    # the README example, byte for byte
+    code, out, _ = run_cli(
+        capsys, "table", "--families", "F,PHI", "--m", "0", "--n", "1..4",
+        "--format", "csv",
+    )
+    assert code == EXIT_OK
+    assert out == (
+        "family,m,n,k,value\n"
+        "F,0,1,,1\nF,0,2,,2\nF,0,3,,5\nF,0,4,,11\n"
+        "PHI,0,1,,1\nPHI,0,2,,2\nPHI,0,3,,6\nPHI,0,4,,12\n"
+    )
+
+
 def test_table_csv_matches_json(capsys):
     argv = ["table", "--families", "FK,PHI", "--m", "0..2", "--n", "2..5", "--k", "1..3"]
     code, json_out, _ = run_cli(capsys, *argv, "--format", "json")

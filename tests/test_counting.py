@@ -105,6 +105,12 @@ def test_pruned_sums_equal_naive_sums():
             assert f_interval(m, n, TABLE) == naive_f(m, n), (m, n)
             for k in range(1, n - m + 1):
                 assert fk_interval(m, n, k, TABLE) == naive_fk(m, n, k), (m, n, k)
+    # wide cells, where many d share a width
+    for n in (1500, 1729, 2000):
+        for m in (0, 1, n // 3, n // 2, n - 7):
+            assert f_interval(m, n, TABLE) == naive_f(m, n), (m, n)
+            for k in (1, 2, 3):
+                assert fk_interval(m, n, k, TABLE) == naive_fk(m, n, k), (m, n, k)
 
 
 def test_fk_is_zero_above_interval_width():
@@ -112,6 +118,7 @@ def test_fk_is_zero_above_interval_width():
         for m in (0, 1, n - 2):
             for k in range(n - m + 1, n - m + 4):
                 assert fk_interval(m, n, k, TABLE) == 0
+                assert phik_interval(m, n, k, TABLE) == 0
 
 
 def test_cardinality_slices_partition_the_counts():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rpsets.exactmath import binomial, floor_quot, pow2
+from rpsets.exactmath import binomial, pow2
 
 
 def test_pow2_frozen_values():
@@ -61,20 +61,6 @@ def test_binomial_symmetry_sampled():
         n = rng.randrange(0, 200)
         k = rng.randrange(0, n + 1)
         assert binomial(n, k) == binomial(n, n - k)
-
-
-def test_floor_quot_values():
-    assert floor_quot(0, 1) == 0
-    assert floor_quot(7, 2) == 3
-    assert floor_quot(6, 3) == 2
-    assert floor_quot(5, 7) == 0
-
-
-def test_floor_quot_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        floor_quot(5, 0)
-    with pytest.raises(ValueError):
-        floor_quot(-1, 2)
 
 
 def test_floor_difference_inequality_exhaustive_small():

@@ -4,10 +4,8 @@ import pytest
 
 from rpsets.sieve import (
     CapacityError,
-    SieveTable,
     build_sieve,
     divisors,
-    shared_table,
     smallest_prime_divisor,
 )
 
@@ -140,12 +138,3 @@ def test_build_sieve_enforces_capacity_cap():
         build_sieve(101, cap=100)
     assert build_sieve(100, cap=100).limit == 100
 
-
-def test_shared_table_reuses_and_grows():
-    small = shared_table(50)
-    assert isinstance(small, SieveTable)
-    again = shared_table(20)
-    assert again is small or again.limit >= 50
-    bigger = shared_table(max(again.limit, 50) + 10)
-    assert bigger.limit >= 60
-    assert shared_table(10) is bigger
