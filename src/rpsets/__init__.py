@@ -38,6 +38,7 @@ from .sieve import (
     SieveTable,
     build_sieve,
     divisors,
+    prime_factors,
     smallest_prime_divisor,
 )
 
@@ -73,6 +74,7 @@ __all__ = [
     "phi_interval",
     "phik_interval",
     "pow2",
+    "prime_factors",
     "reports_to_csv",
     "reports_to_json",
     "smallest_prime_divisor",

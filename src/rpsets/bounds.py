@@ -115,7 +115,7 @@ def check_fk(m: int, n: int, k: int, table: SieveTable) -> BoundReport:
 def check_phi(m: int, n: int, table: SieveTable) -> BoundReport:
     """Gap of phi(m, n) below 2^(n-m) - 2^(n/p - floor(m/p)), p the least
     prime divisor of n. Requires n >= 2."""
-    p = smallest_prime_divisor(n, table)
+    p = smallest_prime_divisor(n)
     gap = pow2(n - m) - pow2(n // p - m // p) - phi_interval(m, n, table)
     upper = 2 * n * pow2((n - m) // (p + 1))
     return BoundReport("T3", m, n, None, gap, upper, gap >= 0, gap <= upper)
@@ -123,7 +123,7 @@ def check_phi(m: int, n: int, table: SieveTable) -> BoundReport:
 
 def check_phik(m: int, n: int, k: int, table: SieveTable) -> BoundReport:
     """Gap of phik(m, n, k) below C(n-m, k) - C(n/p - floor(m/p), k)."""
-    p = smallest_prime_divisor(n, table)
+    p = smallest_prime_divisor(n)
     gap = binomial(n - m, k) - binomial(n // p - m // p, k) - phik_interval(m, n, k, table)
     upper = n * binomial((n - m) // (p + 1) + 1, k)
     return BoundReport("T4", m, n, k, gap, upper, gap >= 0, gap <= upper)
@@ -131,8 +131,7 @@ def check_phik(m: int, n: int, k: int, table: SieveTable) -> BoundReport:
 
 def _partition_sum(m: int, n: int, count_fn) -> int:
     """Sum over d of count_fn(floor(m/d), floor(n/d)), each distinct pair
-    counted once. The d = 1 term is count_fn(m, n), which checks the table
-    and k."""
+    counted once. The d = 1 term is count_fn(m, n), which checks k."""
     _check_interval(m, n)
     cache: dict[tuple[int, int], int] = {}
     total = 0

@@ -7,6 +7,7 @@ import json
 import sys
 from dataclasses import dataclass
 
+from . import counting
 from .bounds import (
     _csv_text,
     check_f,
@@ -28,7 +29,7 @@ from .counting import (
     phi_interval,
     phik_interval,
 )
-from .exactmath import binomial, pow2
+from .exactmath import binomial, ceil_cbrt, pow2
 from .oracle import OracleConfig, oracle_count
 from .sieve import CapacityError, DEFAULT_LIMIT_CAP, SieveTable, build_sieve
 
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -122,20 +124,21 @@ def build_table_records(spec: TableSpec, table: SieveTable) -> list[dict]:
     m_lo, m_hi = spec.m_range
     n_lo, n_hi = spec.n_range
     for family in spec.families:
-        if family in K_FAMILIES:
+        name = family.value
+        # looked up at call time, like count() does, so a replaced counting
+        # function is the one the table uses
+        counter = getattr(counting, f"{name.lower()}_interval")
+        takes_k = family in K_FAMILIES
+        if takes_k:
             assert spec.k_range is not None
-            k_values: list[int | None] = list(range(spec.k_range[0], spec.k_range[1] + 1))
+            k_values: range | tuple[None] = range(spec.k_range[0], spec.k_range[1] + 1)
         else:
-            k_values = [None]
+            k_values = (None,)
         for m in range(m_lo, m_hi + 1):
-            for n in range(n_lo, n_hi + 1):
-                if m >= n:
-                    continue
+            for n in range(max(n_lo, m + 1), n_hi + 1):
                 for k in k_values:
-                    value = count(CountQuery(family, m, n, k), table)
-                    records.append(
-                        {"family": family.value, "m": m, "n": n, "k": k, "value": str(value)}
-                    )
+                    value = counter(m, n, k, table) if takes_k else counter(m, n, table)
+                    records.append({"family": name, "m": m, "n": n, "k": k, "value": str(value)})
     return records
 
 
@@ -186,7 +189,8 @@ def _sieve_cap(cfg: dict) -> int:
 def _run_compute(args, cfg: dict) -> int:
     family = Family(args.family.upper())
     query = CountQuery(family, args.m, args.n, args.k)
-    table = build_sieve(query.n, cap=_sieve_cap(cfg))
+    # M(x) for x above n^(2/3) costs less by its recursion than by sieving
+    table = build_sieve(ceil_cbrt(query.n * query.n), cap=_sieve_cap(cfg))
     print(count(query, table))
     return EXIT_OK
 
@@ -384,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -22,3 +22,13 @@ def binomial(n: int, k: int) -> int:
         return 0
     return math.comb(n, k)
 
+
+def ceil_cbrt(x: int) -> int:
+    """Least r >= 0 with r**3 >= x, for x >= 0, found one bit at a time."""
+    if x < 0:
+        raise ValueError(f"x must be >= 0, got {x}")
+    below = 0  # the largest r with r**3 < x, built from its top bit down
+    for bit in reversed(range(x.bit_length() // 3 + 1)):
+        if (below | 1 << bit) ** 3 < x:
+            below |= 1 << bit
+    return below + 1 if x else 0

@@ -1,7 +1,8 @@
-"""Linear sieve tables for the Mobius function, smallest prime factors, and
-Euler's totient, plus divisor enumeration on top of them."""
+"""Mobius and Mertens tables from a linear sieve, and factorization of single
+integers by trial division."""
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 DEFAULT_LIMIT_CAP = 10**7
 
@@ -12,23 +13,23 @@ class CapacityError(Exception):
 
 @dataclass(frozen=True)
 class SieveTable:
-    """Read-only multiplicative-function tables for 1..limit.
+    """Read-only Mobius and Mertens tables for 1..limit.
 
-    Lists are indexed directly by n (index 0 is a dead slot): mobius[n] is
-    mu(n), spf[n] is the smallest prime factor (0 for n < 2), totient[n] is
-    Euler's phi.
+    Lists are indexed directly by n: mobius[n] is mu(n) and mertens[n] is
+    M(n) = mu(1) + ... + mu(n), with mobius[0] = mertens[0] = 0. The counting
+    functions use the table only as a cache of these values, so it may be
+    shorter than the n they are asked about.
     """
 
     limit: int
     mobius: list[int]
-    spf: list[int]
-    totient: list[int]
+    mertens: list[int]
 
 
 def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
-    """Build all three tables in one linear pass.
+    """Build both tables in one linear pass.
 
-    Each composite is written exactly once, through its smallest prime
+    Each composite is marked exactly once, through its smallest prime
     factor, so the loop is O(limit) rather than O(limit log log limit).
     """
     if limit < 1:
@@ -36,56 +37,57 @@ def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
     if limit > cap:
         raise CapacityError(f"sieve limit {limit} exceeds capacity cap {cap}")
     mobius = [0] * (limit + 1)
-    spf = [0] * (limit + 1)
-    totient = [0] * (limit + 1)
     mobius[1] = 1
-    totient[1] = 1
+    composite = bytearray(limit + 1)
     primes: list[int] = []
     for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
+        if not composite[i]:
             primes.append(i)
             mobius[i] = -1
-            totient[i] = i - 1
+        mu = mobius[i]
         for p in primes:
             c = i * p
             if c > limit:
                 break
-            spf[c] = p
+            composite[c] = 1
             if i % p == 0:
-                # p already divides i, so c is not squarefree
-                mobius[c] = 0
-                totient[c] = totient[i] * p
+                # p already divides i, so c is not squarefree: mobius[c] stays 0
                 break
-            mobius[c] = -mobius[i]
-            totient[c] = totient[i] * (p - 1)
-    return SieveTable(limit=limit, mobius=mobius, spf=spf, totient=totient)
+            mobius[c] = -mu
+    return SieveTable(limit=limit, mobius=mobius, mertens=list(accumulate(mobius)))
 
 
-def smallest_prime_divisor(n: int, table: SieveTable) -> int:
+def prime_factors(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n, p ascending; [] for 1."""
+    if n < 1:
+        raise ValueError(f"factorization defined for n >= 1, got {n}")
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+def smallest_prime_divisor(n: int) -> int:
+    """Least prime dividing n, which is n's smallest divisor above 1."""
     if n < 2:
         raise ValueError(f"smallest prime divisor undefined for n={n}")
-    if n > table.limit:
-        raise ValueError(f"n={n} exceeds sieve limit {table.limit}")
-    return table.spf[n]
+    return divisors(n)[1]
 
 
-def divisors(n: int, table: SieveTable) -> list[int]:
-    """All positive divisors of n in increasing order, via the spf table."""
-    if n < 1:
-        raise ValueError(f"divisors defined for n >= 1, got {n}")
-    if n > table.limit:
-        raise ValueError(f"n={n} exceeds sieve limit {table.limit}")
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n in increasing order."""
     divs = [1]
-    rest = n
-    while rest > 1:
-        p = table.spf[rest]
-        power = 1
-        powers = []
-        while rest % p == 0:
-            rest //= p
-            power *= p
-            powers.append(power)
+    for p, e in prime_factors(n):
+        powers = [p**i for i in range(1, e + 1)]
         divs += [d * q for d in divs for q in powers]
     divs.sort()
     return divs

@@ -16,7 +16,7 @@ from rpsets.bounds import (
     reports_to_json,
 )
 from rpsets.counting import f_interval
-from rpsets.exactmath import binomial, pow2
+from rpsets.exactmath import binomial, ceil_cbrt, pow2
 from rpsets.sieve import build_sieve
 
 TABLE = build_sieve(400)
@@ -123,8 +123,6 @@ def test_partition_sums_validate_arguments():
         partition_sum_f(4, 4, TABLE)
     with pytest.raises(ValueError, match="m < n required"):
         partition_sum_fk(5, 4, 1, TABLE)
-    with pytest.raises(ValueError, match="exceeds sieve limit"):
-        partition_sum_f(0, 401, TABLE)
     with pytest.raises(ValueError, match="k must be >= 1"):
         partition_sum_fk(0, 4, 0, TABLE)
 
@@ -161,3 +159,12 @@ def test_bound_report_is_plain_data():
     assert r.gap == 1
     with pytest.raises(AttributeError):
         r.gap = 2
+
+
+@pytest.mark.parametrize("n", [10**7, 10**8])
+def test_t2_holds_at_scale_with_a_two_thirds_table(n):
+    # far beyond any enumeration; the table holds only n^(2/3) Mertens values
+    table = build_sieve(ceil_cbrt(n * n))
+    for k in (2, 3):
+        r = check_fk(n // 4, n, k, table)
+        assert r.holds_lower and r.holds_upper, (n, k, r.gap, r.upper)

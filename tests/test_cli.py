@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from rpsets import cli
+from rpsets import cli, counting
 from rpsets.cli import (
     EXIT_CAPACITY,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
@@ -37,6 +38,26 @@ def test_compute_examples(capsys):
     assert (code, out.strip()) == (EXIT_OK, "2")
     code, out, _ = run_cli(capsys, "compute", "phi", "--m", "0", "--n", "1")
     assert (code, out.strip()) == (EXIT_OK, "1")
+
+
+def test_compute_beyond_the_default_sieve_cap(capsys):
+    # n is ten times the default cap; compute sieves only to n^(2/3)
+    code, out, err = run_cli(
+        capsys, "compute", "fk", "--m", "25000000", "--n", "100000000", "--k", "3"
+    )
+    assert code == EXIT_OK, err
+    assert int(out) > 0
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken_f(m, n, table):
+        raise RuntimeError(f"negative count -1 for m={m}, n={n}")
+
+    monkeypatch.setattr(counting, "f_interval", broken_f)
+    code, out, err = run_cli(capsys, "compute", "f", "--m", "0", "--n", "4")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: negative count -1 for m=0, n=4\n"
 
 
 def test_compute_usage_errors(capsys):
@@ -199,8 +220,9 @@ def test_verify_failure_reports_cell_and_values(capsys, monkeypatch):
 def test_capacity_exit_code(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sieve_cap": 50}))
+    # compute sieves to ceil(n^(2/3)), which is 100 for n = 1000
     code, _, err = run_cli(
-        capsys, "--config", str(cfg), "compute", "f", "--m", "0", "--n", "100"
+        capsys, "--config", str(cfg), "compute", "f", "--m", "0", "--n", "1000"
     )
     assert code == EXIT_CAPACITY
     assert "exceeds capacity cap" in err

@@ -2,10 +2,13 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpsets.counting import (
     CountQuery,
     Family,
+    _mertens,
     count,
     euler_phi_via_phik,
     f_interval,
@@ -14,10 +17,10 @@ from rpsets.counting import (
     phi_interval,
     phik_interval,
 )
-from rpsets.exactmath import binomial
-from rpsets.sieve import build_sieve
+from rpsets.exactmath import binomial, ceil_cbrt
+from rpsets.sieve import build_sieve, prime_factors
 
-TABLE = build_sieve(2000)
+TABLE = build_sieve(3000)
 
 
 def subsets_brute(m, n):
@@ -158,7 +161,10 @@ def test_euler_phi_cross_check():
     assert euler_phi_via_phik(6, TABLE) == 2
     assert euler_phi_via_phik(97, TABLE) == 96
     for n in range(2, 2001):
-        assert euler_phi_via_phik(n, TABLE) == TABLE.totient[n], n
+        product = n
+        for p, _ in prime_factors(n):
+            product = product // p * (p - 1)
+        assert euler_phi_via_phik(n, TABLE) == product, n
 
 
 def test_euler_phi_rejects_small_n():
@@ -183,12 +189,38 @@ def test_k_validation():
         phik_interval(0, 4, -1, TABLE)
 
 
-def test_sieve_limit_enforced():
-    small = build_sieve(10)
-    with pytest.raises(ValueError, match="exceeds sieve limit"):
-        f_interval(0, 11, small)
-    with pytest.raises(ValueError, match="exceeds sieve limit"):
-        phik_interval(0, 11, 2, small)
+@pytest.mark.parametrize("limit", [1, 10])
+def test_mertens_recursion_matches_sieve_prefix(limit):
+    small = build_sieve(limit)
+    for x in range(2001):
+        assert _mertens(x, small, {}) == TABLE.mertens[x], x
+
+
+def test_mertens_published_values():
+    small = build_sieve(1000)
+    memo: dict[int, int] = {}
+    for x, expected in ((10**4, -23), (10**5, -48), (10**6, 212), (10**7, 1037)):
+        assert _mertens(x, small, memo) == expected, x
+
+
+def all_families(m, n, k, table):
+    return (
+        f_interval(m, n, table),
+        fk_interval(m, n, k, table),
+        phi_interval(m, n, table),
+        phik_interval(m, n, k, table),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3000).flatmap(
+    lambda n: st.tuples(st.integers(0, n - 1), st.just(n), st.integers(1, 8))
+))
+def test_table_size_does_not_change_counts(cell):
+    m, n, k = cell
+    full = all_families(m, n, k, TABLE)
+    assert all_families(m, n, k, build_sieve(1)) == full
+    assert all_families(m, n, k, build_sieve(ceil_cbrt(n * n))) == full
 
 
 def test_count_query_validation():

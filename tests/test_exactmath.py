@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rpsets.exactmath import binomial, pow2
+from rpsets.exactmath import binomial, ceil_cbrt, pow2
 
 
 def test_pow2_frozen_values():
@@ -90,3 +90,17 @@ def test_hockey_stick_small():
                     binomial(n_top - j, k - 1) for j in range(1, m_cut + 1)
                 )
                 assert lhs == binomial(n_top - m_cut, k)
+
+
+def test_ceil_cbrt_against_linear_search():
+    r = 0
+    for x in range(20_000):
+        while r**3 < x:
+            r += 1
+        assert ceil_cbrt(x) == r, x
+    rng = random.Random(3)
+    for x in [10**16, 10**30 - 1, 10**30, 10**30 + 1] + [rng.getrandbits(400) for _ in range(200)]:
+        r = ceil_cbrt(x)
+        assert r**3 >= x > (r - 1) ** 3, x
+    with pytest.raises(ValueError):
+        ceil_cbrt(-1)

@@ -6,6 +6,7 @@ from rpsets.sieve import (
     CapacityError,
     build_sieve,
     divisors,
+    prime_factors,
     smallest_prime_divisor,
 )
 
@@ -32,12 +33,19 @@ def divisors_by_trial(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def totient_by_euler_product(n: int) -> int:
+    # n * product over the primes p | n of (1 - 1/p)
+    for p, _ in prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
 def test_base_cases():
     t = build_sieve(1)
     assert t.limit == 1
-    assert t.mobius[1] == 1
-    assert t.totient[1] == 1
-    assert t.spf[0] == 0 and t.spf[1] == 0
+    assert t.mobius == [0, 1]
+    assert t.mertens == [0, 1]
+    assert prime_factors(1) == []
 
 
 def test_mobius_frozen_values():
@@ -67,65 +75,86 @@ def test_mobius_multiplicative_on_coprime_pairs():
                 assert TABLE.mobius[a * b] == TABLE.mobius[a] * TABLE.mobius[b]
 
 
-def test_spf_entries_are_smallest_prime_factors():
+def test_mertens_is_the_prefix_sum_of_mobius():
+    running = 0
+    for n in range(LIMIT + 1):
+        running += TABLE.mobius[n]
+        assert TABLE.mertens[n] == running, n
+
+
+def test_smallest_prime_divisor_against_trial_division():
     for n in range(2, LIMIT + 1):
-        p = TABLE.spf[n]
+        p = smallest_prime_divisor(n)
         assert n % p == 0
         assert all(n % q != 0 for q in range(2, p))
+        assert prime_factors(n)[0][0] == p
+
+
+def test_prime_factors_against_trial_division():
+    for n in range(1, LIMIT + 1):
+        factors = prime_factors(n)
+        primes = [p for p, _ in factors]
+        # ascending distinct primes whose powers multiply back to n
+        assert primes == sorted(set(primes)), n
+        assert all(divisors_by_trial(p) == [1, p] for p in primes), n
+        assert math.prod(p**e for p, e in factors) == n, n
+    assert prime_factors(2**31 - 1) == [(2**31 - 1, 1)]
+    assert prime_factors(10**8) == [(2, 8), (5, 8)]
 
 
 def test_totient_frozen_values():
-    assert TABLE.totient[1] == 1
-    assert TABLE.totient[2] == 1
-    assert TABLE.totient[6] == 2
-    assert TABLE.totient[97] == 96
-    assert TABLE.totient[360] == 96
+    assert totient_by_euler_product(1) == 1
+    assert totient_by_euler_product(2) == 1
+    assert totient_by_euler_product(6) == 2
+    assert totient_by_euler_product(97) == 96
+    assert totient_by_euler_product(360) == 96
 
 
 def test_totient_against_gcd_loop():
     for n in range(1, 501):
         direct = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
-        assert TABLE.totient[n] == direct, n
+        assert totient_by_euler_product(n) == direct, n
 
 
 def test_totient_mobius_divisor_identity():
     # phi(n) = sum over d | n of mu(d) * n / d
     for n in range(1, LIMIT + 1):
         val = sum(TABLE.mobius[d] * (n // d) for d in divisors_by_trial(n))
-        assert TABLE.totient[n] == val, n
+        assert totient_by_euler_product(n) == val, n
 
 
 def test_divisors_frozen_values():
-    assert divisors(1, TABLE) == [1]
-    assert divisors(6, TABLE) == [1, 2, 3, 6]
-    assert divisors(12, TABLE) == [1, 2, 3, 4, 6, 12]
-    assert divisors(97, TABLE) == [1, 97]
+    assert divisors(1) == [1]
+    assert divisors(6) == [1, 2, 3, 6]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(97) == [1, 97]
 
 
 def test_divisors_against_trial_sweep():
     for n in range(1, 1001):
-        assert divisors(n, TABLE) == divisors_by_trial(n), n
+        assert divisors(n) == divisors_by_trial(n), n
 
 
 def test_divisors_rejects_out_of_range():
     with pytest.raises(ValueError):
-        divisors(0, TABLE)
+        divisors(0)
     with pytest.raises(ValueError):
-        divisors(LIMIT + 1, TABLE)
+        divisors(-6)
 
 
 def test_smallest_prime_divisor_values():
-    assert smallest_prime_divisor(2, TABLE) == 2
-    assert smallest_prime_divisor(6, TABLE) == 2
-    assert smallest_prime_divisor(15, TABLE) == 3
-    assert smallest_prime_divisor(97, TABLE) == 97
+    assert smallest_prime_divisor(2) == 2
+    assert smallest_prime_divisor(6) == 2
+    assert smallest_prime_divisor(15) == 3
+    assert smallest_prime_divisor(97) == 97
+    assert smallest_prime_divisor(10**8 + 7) == 10**8 + 7
 
 
 def test_smallest_prime_divisor_rejects_small_n():
     with pytest.raises(ValueError):
-        smallest_prime_divisor(1, TABLE)
+        smallest_prime_divisor(1)
     with pytest.raises(ValueError):
-        smallest_prime_divisor(LIMIT + 1, TABLE)
+        smallest_prime_divisor(0)
 
 
 def test_build_sieve_validates_limit():
