@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import counting
 from .bounds import (
@@ -29,7 +30,7 @@ from .counting import (
     phi_interval,
     phik_interval,
 )
-from .exactmath import binomial, ceil_cbrt, pow2
+from .exactmath import binomial, ceil_cbrt, decimal_string, pow2
 from .oracle import OracleConfig, oracle_count
 from .sieve import CapacityError, DEFAULT_LIMIT_CAP, SieveTable, build_sieve
 
@@ -138,14 +139,38 @@ def build_table_records(spec: TableSpec, table: SieveTable) -> list[dict]:
             for n in range(max(n_lo, m + 1), n_hi + 1):
                 for k in k_values:
                     value = counter(m, n, k, table) if takes_k else counter(m, n, table)
-                    records.append({"family": name, "m": m, "n": n, "k": k, "value": str(value)})
+                    records.append(
+                        {"family": name, "m": m, "n": n, "k": k, "value": decimal_string(value)}
+                    )
     return records
 
 
+# One table row as json.dumps(records, indent=2) lays it out.
+_JSON_RECORD = (
+    '  {\n    "family": %s,\n    "m": %d,\n    "n": %d,\n    "k": %s,\n    "value": %s\n  }'
+)
+
+
 def render_records(records: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(records, indent=2) + "\n"
-    return _csv_text(["family", "m", "n", "k", "value"], records)
+    """The rows as CSV, or as the bytes of json.dumps(records, indent=2)
+    plus a newline. That call runs the pure-Python encoder, so the JSON is
+    filled into a per-row template instead."""
+    if fmt == "csv":
+        return _csv_text(["family", "m", "n", "k", "value"], records)
+    if not records:
+        return "[]\n"
+    rows = ",\n".join(
+        _JSON_RECORD
+        % (
+            encode_basestring_ascii(rec["family"]),
+            rec["m"],
+            rec["n"],
+            "null" if rec["k"] is None else rec["k"],
+            encode_basestring_ascii(rec["value"]),
+        )
+        for rec in records
+    )
+    return "[\n" + rows + "\n]\n"
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -188,10 +213,15 @@ def _sieve_cap(cfg: dict) -> int:
 
 def _run_compute(args, cfg: dict) -> int:
     family = Family(args.family.upper())
-    query = CountQuery(family, args.m, args.n, args.k)
-    # M(x) for x above n^(2/3) costs less by its recursion than by sieving
-    table = build_sieve(ceil_cbrt(query.n * query.n), cap=_sieve_cap(cfg))
-    print(count(query, table))
+    try:
+        query = CountQuery(family, args.m, args.n, args.k)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    table = None  # phi and phik need only the factorization of n
+    if family in (Family.F, Family.FK):
+        # M(x) for x above n^(2/3) costs less by its recursion than by sieving
+        table = build_sieve(ceil_cbrt(query.n * query.n), cap=_sieve_cap(cfg))
+    print(decimal_string(count(query, table)))
     return EXIT_OK
 
 
@@ -222,7 +252,10 @@ def _print_failures(failures: list[str]) -> None:
 def _verify_oracle(args, cfg: dict) -> int:
     n_max = _resolve_int(args, cfg, "n_max", 16)
     width_cap = _resolve_int(args, cfg, "width_cap", 24)
-    config = OracleConfig(max_width=width_cap)
+    try:
+        config = OracleConfig(max_width=width_cap)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     table = build_sieve(max(1, n_max), cap=_sieve_cap(cfg))
     intervals = cells = skipped = 0
     failures: list[str] = []
@@ -379,16 +412,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except Exception as exc:  # a bug in rpsets, not a user mistake
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -21,7 +21,8 @@ from rpsets.cli import (
     parse_range,
     render_records,
 )
-from rpsets.counting import Family
+from rpsets.counting import CountQuery, Family, f_interval
+from rpsets.oracle import oracle_count
 from rpsets.sieve import build_sieve
 
 
@@ -60,10 +61,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "internal error: negative count -1 for m=0, n=4\n"
 
 
+def test_a_value_error_from_a_count_is_internal(capsys, monkeypatch):
+    def broken_f(m, n, table):
+        raise ValueError("a bug, not a user mistake")
+
+    monkeypatch.setattr(counting, "f_interval", broken_f)
+    code, out, err = run_cli(capsys, "compute", "f", "--m", "0", "--n", "4")
+    assert (code, out, err) == (EXIT_INTERNAL, "", "internal error: a bug, not a user mistake\n")
+
+
 def test_compute_usage_errors(capsys):
-    code, _, err = run_cli(capsys, "compute", "f", "--m", "3", "--n", "3")
-    assert code == EXIT_USAGE
-    assert "m < n required" in err
+    for m in ("3", "5"):
+        code, _, err = run_cli(capsys, "compute", "f", "--m", m, "--n", "3")
+        assert code == EXIT_USAGE
+        assert "m < n required" in err
     code, _, err = run_cli(capsys, "compute", "fk", "--m", "0", "--n", "4")
     assert code == EXIT_USAGE
     assert "requires k" in err
@@ -73,6 +84,66 @@ def test_compute_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, err = run_cli(capsys, "bogus")
     assert code == EXIT_USAGE
+
+
+# 10**12 + 39 is prime; a table to n^(2/3) = 10^8 would exceed the default cap
+BIG_PRIME = 10**12 + 39
+
+
+def test_compute_phi_builds_no_table(capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "phi", "--m", str(BIG_PRIME - 99), "--n", str(BIG_PRIME)
+    )
+    assert code == EXIT_OK, err
+    # only the multiples of the prime n have a gcd that is not coprime to n
+    assert int(out) == 2**99 - 2
+    m, k = BIG_PRIME - 16, 5
+    code, out, err = run_cli(
+        capsys, "compute", "phik", "--m", str(m), "--n", str(BIG_PRIME), "--k", str(k)
+    )
+    assert code == EXIT_OK, err
+    assert int(out) == oracle_count(CountQuery(Family.PHIK, m, BIG_PRIME, k))
+
+
+def _parse_in_chunks(digits: str) -> int:
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_values_above_4300_digits_print(capsys):
+    expected = f_interval(0, 15_000, build_sieve(15_000))
+    code, out, err = run_cli(capsys, "compute", "f", "--m", "0", "--n", "15000")
+    assert code == EXIT_OK, err
+    assert len(out) == 4517  # 4516 digits and the newline
+    assert _parse_in_chunks(out.strip()) == expected
+    argv = ["table", "--families", "F,PHI", "--m", "0", "--n", "15000"]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][:4] == ["F", "0", "15000", ""]
+    assert _parse_in_chunks(rows[1][4]) == expected
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK, err
+    records = json.loads(out)
+    assert records[0]["family"] == "F"
+    assert _parse_in_chunks(records[0]["value"]) == expected
+
+
+def test_json_rendering_matches_json_dumps():
+    def row(family, m, n, k, value):
+        return {"family": family, "m": m, "n": n, "k": k, "value": value}
+
+    tables = [
+        [],
+        [row("F", 0, n, None, str(2**n - 1)) for n in range(1, 4)],
+        [row("FK", 1, 5, 2, "6"), row("PHIK", 0, 6, 1, "2"), row("FK", 0, 3, 3, "0")],
+        [row("F", 0, 15_000, None, "7" * 4400)],
+    ]
+    for records in tables:
+        assert render_records(records, "json") == json.dumps(records, indent=2) + "\n"
 
 
 def test_table_json_values(capsys):
@@ -204,6 +275,9 @@ def test_verify_oracle_skips_wide_intervals(capsys):
     )
     assert code == EXIT_OK
     assert "skipped" in out
+    code, _, err = run_cli(capsys, "verify", "oracle", "--n-max", "4", "--width-cap", "31")
+    assert code == EXIT_USAGE
+    assert "max_width must be in 1..30" in err
 
 
 def test_verify_failure_reports_cell_and_values(capsys, monkeypatch):
