@@ -11,27 +11,16 @@ from .bounds import (
     partition_identity_fk,
     partition_sum_f,
     partition_sum_fk,
-    reports_to_csv,
-    reports_to_json,
 )
 from .counting import (
-    CountQuery,
     Family,
-    count,
-    euler_phi_via_phik,
     f_interval,
-    f_upto,
     fk_interval,
     phi_interval,
     phik_interval,
 )
-from .exactmath import binomial, pow2
-from .oracle import (
-    HARD_WIDTH_CAP,
-    OracleConfig,
-    oracle_count,
-    oracle_gcd_class_counts,
-)
+from .exactmath import binomial
+from .oracle import HARD_WIDTH_CAP, oracle_count, oracle_gcd_class_counts
 from .sieve import (
     CapacityError,
     DEFAULT_LIMIT_CAP,
@@ -47,11 +36,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CapacityError",
-    "CountQuery",
     "DEFAULT_LIMIT_CAP",
     "Family",
     "HARD_WIDTH_CAP",
-    "OracleConfig",
     "SieveTable",
     "binomial",
     "build_sieve",
@@ -59,11 +46,8 @@ __all__ = [
     "check_fk",
     "check_phi",
     "check_phik",
-    "count",
     "divisors",
-    "euler_phi_via_phik",
     "f_interval",
-    "f_upto",
     "fk_interval",
     "oracle_count",
     "oracle_gcd_class_counts",
@@ -73,10 +57,7 @@ __all__ = [
     "partition_sum_fk",
     "phi_interval",
     "phik_interval",
-    "pow2",
     "prime_factors",
-    "reports_to_csv",
-    "reports_to_json",
     "smallest_prime_divisor",
     "__version__",
 ]

@@ -6,11 +6,7 @@ gap <= upper for an explicit upper; both comparisons are exact integer
 arithmetic, and a False flag in a report is a bug detector, not a tolerance.
 """
 
-import csv
-import io
-import json
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .counting import (
     _check_interval,
@@ -19,7 +15,7 @@ from .counting import (
     phi_interval,
     phik_interval,
 )
-from .exactmath import binomial, pow2
+from .exactmath import binomial
 from .sieve import SieveTable, smallest_prime_divisor
 
 
@@ -42,62 +38,11 @@ class BoundReport:
     holds_upper: bool
     tight_upper_holds: bool | None = None
 
-    def to_record(self) -> dict:
-        """JSON-ready dict; the big integers become decimal strings."""
-        return {
-            "theorem": self.theorem,
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "gap": str(self.gap),
-            "upper": str(self.upper),
-            "holds_lower": self.holds_lower,
-            "holds_upper": self.holds_upper,
-            "tight_upper_holds": self.tight_upper_holds,
-        }
-
-
-_CSV_COLUMNS = [
-    "theorem",
-    "m",
-    "n",
-    "k",
-    "gap",
-    "upper",
-    "holds_lower",
-    "holds_upper",
-    "tight_upper_holds",
-]
-
-
-def reports_to_json(reports: list[BoundReport]) -> str:
-    return json.dumps([r.to_record() for r in reports], indent=2) + "\n"
-
-
-def _csv_text(columns: list[str], records) -> str:
-    """The given columns of each record as CSV under a header row. None
-    becomes an empty cell (the csv module's rule) and booleans serialize as
-    true/false, to match JSON."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    cells = itemgetter(*columns)
-    writer.writerows(
-        ["true" if v is True else "false" if v is False else v for v in cells(rec)]
-        for rec in records
-    )
-    return buf.getvalue()
-
-
-def reports_to_csv(reports: list[BoundReport]) -> str:
-    """Same columns as the JSON records."""
-    return _csv_text(_CSV_COLUMNS, (r.to_record() for r in reports))
-
 
 def check_f(m: int, n: int, table: SieveTable) -> BoundReport:
     """Gap of f(m, n) below 2^(n-m) - 2^(floor(n/2) - floor(m/2))."""
-    gap = pow2(n - m) - pow2(n // 2 - m // 2) - f_interval(m, n, table)
-    upper = 2 * n * pow2((n - m) // 3)
+    gap = (1 << (n - m)) - (1 << (n // 2 - m // 2)) - f_interval(m, n, table)
+    upper = (2 * n) << ((n - m) // 3)
     return BoundReport("T1", m, n, None, gap, upper, gap >= 0, gap <= upper)
 
 
@@ -116,8 +61,8 @@ def check_phi(m: int, n: int, table: SieveTable) -> BoundReport:
     """Gap of phi(m, n) below 2^(n-m) - 2^(n/p - floor(m/p)), p the least
     prime divisor of n. Requires n >= 2."""
     p = smallest_prime_divisor(n)
-    gap = pow2(n - m) - pow2(n // p - m // p) - phi_interval(m, n, table)
-    upper = 2 * n * pow2((n - m) // (p + 1))
+    gap = (1 << (n - m)) - (1 << (n // p - m // p)) - phi_interval(m, n, table)
+    upper = (2 * n) << ((n - m) // (p + 1))
     return BoundReport("T3", m, n, None, gap, upper, gap >= 0, gap <= upper)
 
 
@@ -155,7 +100,7 @@ def partition_sum_f(m: int, n: int, table: SieveTable) -> int:
 
 def partition_identity_f(m: int, n: int, table: SieveTable) -> bool:
     """Whether the gcd classes add back up to 2^(n-m) - 1."""
-    return partition_sum_f(m, n, table) == pow2(n - m) - 1
+    return partition_sum_f(m, n, table) == (1 << (n - m)) - 1
 
 
 def partition_sum_fk(m: int, n: int, k: int, table: SieveTable) -> int:

@@ -3,14 +3,16 @@ verification campaigns (closed forms vs brute force, theorem bounds,
 partition identities)."""
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import counting
 from .bounds import (
-    _csv_text,
     check_f,
     check_fk,
     check_phi,
@@ -21,17 +23,16 @@ from .bounds import (
     partition_sum_fk,
 )
 from .counting import (
-    CountQuery,
     Family,
     K_FAMILIES,
-    count,
+    _check_cell,
     f_interval,
     fk_interval,
     phi_interval,
     phik_interval,
 )
-from .exactmath import binomial, ceil_cbrt, decimal_string, pow2
-from .oracle import OracleConfig, oracle_count
+from .exactmath import binomial, ceil_cbrt, decimal_string
+from .oracle import _check_max_width, oracle_count
 from .sieve import CapacityError, DEFAULT_LIMIT_CAP, SieveTable, build_sieve
 
 EXIT_OK = 0
@@ -68,6 +69,8 @@ class TableSpec:
             raise UsageError("at least one family required")
         if self.format not in ("json", "csv"):
             raise UsageError(f"unknown format {self.format!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise UsageError(f"out must be a path string, got {self.output_path!r}")
         for name, (lo, hi) in (("m", self.m_range), ("n", self.n_range)):
             if hi < lo:
                 raise UsageError(f"empty {name} range {lo}..{hi}")
@@ -126,8 +129,8 @@ def build_table_records(spec: TableSpec, table: SieveTable) -> list[dict]:
     n_lo, n_hi = spec.n_range
     for family in spec.families:
         name = family.value
-        # looked up at call time, like count() does, so a replaced counting
-        # function is the one the table uses
+        # looked up at call time, so a replaced counting function is the one
+        # the table uses
         counter = getattr(counting, f"{name.lower()}_interval")
         takes_k = family in K_FAMILIES
         if takes_k:
@@ -145,6 +148,8 @@ def build_table_records(spec: TableSpec, table: SieveTable) -> list[dict]:
     return records
 
 
+_COLUMNS = ("family", "m", "n", "k", "value")
+
 # One table row as json.dumps(records, indent=2) lays it out.
 _JSON_RECORD = (
     '  {\n    "family": %s,\n    "m": %d,\n    "n": %d,\n    "k": %s,\n    "value": %s\n  }'
@@ -156,7 +161,11 @@ def render_records(records: list[dict], fmt: str) -> str:
     plus a newline. That call runs the pure-Python encoder, so the JSON is
     filled into a per-row template instead."""
     if fmt == "csv":
-        return _csv_text(["family", "m", "n", "k", "value"], records)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")  # None becomes an empty cell
+        writer.writerow(_COLUMNS)
+        writer.writerows(map(itemgetter(*_COLUMNS), records))
+        return buf.getvalue()
     if not records:
         return "[]\n"
     rows = ",\n".join(
@@ -213,15 +222,19 @@ def _sieve_cap(cfg: dict) -> int:
 
 def _run_compute(args, cfg: dict) -> int:
     family = Family(args.family.upper())
+    m, n, k = args.m, args.n, args.k
     try:
-        query = CountQuery(family, args.m, args.n, args.k)
+        _check_cell(family, m, n, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     table = None  # phi and phik need only the factorization of n
     if family in (Family.F, Family.FK):
         # M(x) for x above n^(2/3) costs less by its recursion than by sieving
-        table = build_sieve(ceil_cbrt(query.n * query.n), cap=_sieve_cap(cfg))
-    print(decimal_string(count(query, table)))
+        table = build_sieve(ceil_cbrt(n * n), cap=_sieve_cap(cfg))
+    # looked up at call time, so a replaced counting function is the one used
+    counter = getattr(counting, f"{args.family}_interval")
+    value = counter(m, n, table) if k is None else counter(m, n, k, table)
+    print(decimal_string(value))
     return EXIT_OK
 
 
@@ -243,111 +256,104 @@ def _run_table(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _print_failures(failures: list[str]) -> None:
-    print("family,m,n,k,expected,actual")
-    for line in failures:
-        print(line)
+def _csv_cell(value) -> str:
+    """None is an empty cell, and an int prints in decimal at any size."""
+    return "" if value is None else value if isinstance(value, str) else decimal_string(value)
+
+
+def _verify(n_max: int, cfg: dict, check, summary) -> int:
+    """Run one campaign over every interval 0 <= m < n <= n_max.
+
+    check(m, n, table, failures) checks one interval, appends a (label, m,
+    n, k, expected, actual) row per failed item and returns how many items
+    it checked. The failure rows print as CSV, then the last line is
+    summary(checked, failed).
+    """
+    table = build_sieve(max(1, n_max), cap=_sieve_cap(cfg))
+    checked = 0
+    failures: list[tuple] = []
+    for n in range(1, n_max + 1):
+        for m in range(n):
+            checked += check(m, n, table, failures)
+    if failures:
+        print("family,m,n,k,expected,actual")
+        for row in failures:
+            print(",".join(map(_csv_cell, row)))
+    print(summary(checked, len(failures)))
+    return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
 def _verify_oracle(args, cfg: dict) -> int:
     n_max = _resolve_int(args, cfg, "n_max", 16)
     width_cap = _resolve_int(args, cfg, "width_cap", 24)
     try:
-        config = OracleConfig(max_width=width_cap)
+        _check_max_width(width_cap)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    table = build_sieve(max(1, n_max), cap=_sieve_cap(cfg))
-    intervals = cells = skipped = 0
-    failures: list[str] = []
+    intervals = skipped = 0
 
-    def cell(family: Family, m: int, n: int, k: int | None, actual: int) -> None:
-        nonlocal cells
-        cells += 1
-        expected = oracle_count(CountQuery(family, m, n, k), config)
-        if expected != actual:
-            k_text = "" if k is None else str(k)
-            failures.append(f"{family.value},{m},{n},{k_text},{expected},{actual}")
+    def check(m, n, table, failures):
+        nonlocal intervals, skipped
+        if n - m > width_cap:
+            skipped += 1
+            return 0
+        intervals += 1
+        cells = [(Family.F, None, f_interval(m, n, table)),
+                 (Family.PHI, None, phi_interval(m, n, table))]
+        for k in range(1, n - m + 1):
+            cells.append((Family.FK, k, fk_interval(m, n, k, table)))
+            cells.append((Family.PHIK, k, phik_interval(m, n, k, table)))
+        for family, k, actual in cells:
+            expected = oracle_count(family, m, n, k, width_cap)
+            if expected != actual:
+                failures.append((family.value, m, n, k, expected, actual))
+        return len(cells)
 
-    for n in range(1, n_max + 1):
-        for m in range(n):
-            if n - m > config.max_width:
-                skipped += 1
-                continue
-            intervals += 1
-            cell(Family.F, m, n, None, f_interval(m, n, table))
-            cell(Family.PHI, m, n, None, phi_interval(m, n, table))
-            for k in range(1, n - m + 1):
-                cell(Family.FK, m, n, k, fk_interval(m, n, k, table))
-                cell(Family.PHIK, m, n, k, phik_interval(m, n, k, table))
+    def summary(cells, failed):
+        line = (
+            f"verify oracle: checked {intervals} intervals x 4 families"
+            f" ({cells} cells), {failed} failures"
+        )
+        if skipped:
+            line += f"; skipped {skipped} intervals wider than {width_cap}"
+        return line
 
-    if failures:
-        _print_failures(failures)
-    summary = (
-        f"verify oracle: checked {intervals} intervals x 4 families"
-        f" ({cells} cells), {len(failures)} failures"
-    )
-    if skipped:
-        summary += f"; skipped {skipped} intervals wider than {config.max_width}"
-    print(summary)
-    return EXIT_VERIFY_FAILED if failures else EXIT_OK
+    return _verify(n_max, cfg, check, summary)
 
 
 def _verify_bounds(args, cfg: dict) -> int:
-    n_max = _resolve_int(args, cfg, "n_max", 100)
-    table = build_sieve(max(1, n_max), cap=_sieve_cap(cfg))
-    checked = 0
-    failures: list[str] = []
+    def check(m, n, table, failures):
+        ks = range(1, n - m + 1)
+        reports = [check_f(m, n, table)] + [check_fk(m, n, k, table) for k in ks]
+        if n >= 2:  # T3 and T4 need a prime divisor of n
+            reports += [check_phi(m, n, table)] + [check_phik(m, n, k, table) for k in ks]
+        for r in reports:
+            if not (r.holds_lower and r.holds_upper):
+                failures.append((r.theorem, m, n, r.k, f"0..{decimal_string(r.upper)}", r.gap))
+        return len(reports)
 
-    def judge(report) -> None:
-        nonlocal checked
-        checked += 1
-        if not (report.holds_lower and report.holds_upper):
-            k_text = "" if report.k is None else str(report.k)
-            failures.append(
-                f"{report.theorem},{report.m},{report.n},{k_text},"
-                f"0..{report.upper},{report.gap}"
-            )
-
-    for n in range(1, n_max + 1):
-        for m in range(n):
-            judge(check_f(m, n, table))
-            for k in range(1, n - m + 1):
-                judge(check_fk(m, n, k, table))
-            if n >= 2:
-                judge(check_phi(m, n, table))
-                for k in range(1, n - m + 1):
-                    judge(check_phik(m, n, k, table))
-
-    if failures:
-        _print_failures(failures)
-    print(f"verify bounds: checked {checked} bound reports, {len(failures)} failures")
-    return EXIT_VERIFY_FAILED if failures else EXIT_OK
+    summary = "verify bounds: checked {} bound reports, {} failures".format
+    return _verify(_resolve_int(args, cfg, "n_max", 100), cfg, check, summary)
 
 
 def _verify_identities(args, cfg: dict) -> int:
     n_max = _resolve_int(args, cfg, "n_max", 60)
     k_max = _resolve_int(args, cfg, "k_max", 10)
-    table = build_sieve(max(1, n_max), cap=_sieve_cap(cfg))
-    checked = 0
-    failures: list[str] = []
-    for n in range(1, n_max + 1):
-        for m in range(n):
-            checked += 1
-            if not partition_identity_f(m, n, table):
+
+    def check(m, n, table, failures):
+        # a failed identity is rare, so only then is its sum computed again
+        if not partition_identity_f(m, n, table):
+            failures.append(("F", m, n, None, (1 << (n - m)) - 1, partition_sum_f(m, n, table)))
+        ks = range(1, min(n - m, k_max) + 1)
+        for k in ks:
+            if not partition_identity_fk(m, n, k, table):
                 failures.append(
-                    f"F,{m},{n},,{pow2(n - m) - 1},{partition_sum_f(m, n, table)}"
+                    ("FK", m, n, k, binomial(n - m, k), partition_sum_fk(m, n, k, table))
                 )
-            for k in range(1, min(n - m, k_max) + 1):
-                checked += 1
-                if not partition_identity_fk(m, n, k, table):
-                    failures.append(
-                        f"FK,{m},{n},{k},{binomial(n - m, k)},"
-                        f"{partition_sum_fk(m, n, k, table)}"
-                    )
-    if failures:
-        _print_failures(failures)
-    print(f"verify identities: checked {checked} identities, {len(failures)} failures")
-    return EXIT_VERIFY_FAILED if failures else EXIT_OK
+        return 1 + len(ks)
+
+    summary = "verify identities: checked {} identities, {} failures".format
+    return _verify(n_max, cfg, check, summary)
 
 
 _VERIFY_MODES = {

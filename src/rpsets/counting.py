@@ -15,7 +15,6 @@ function M; phi and phik sum over the squarefree divisors of n only. Every
 value is an exact int.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
@@ -46,23 +45,15 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-@dataclass(frozen=True)
-class CountQuery:
-    """One counting request; k is required for FK/PHIK and forbidden otherwise."""
-
-    family: Family
-    m: int
-    n: int
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        _check_interval(self.m, self.n)
-        if self.family in K_FAMILIES:
-            if self.k is None:
-                raise ValueError(f"family {self.family.value} requires k")
-            _check_k(self.k)
-        elif self.k is not None:
-            raise ValueError(f"family {self.family.value} does not take k")
+def _check_cell(family: Family, m: int, n: int, k: int | None) -> None:
+    """The interval, and a k exactly when the family takes one."""
+    _check_interval(m, n)
+    if family in K_FAMILIES:
+        if k is None:
+            raise ValueError(f"family {family.value} requires k")
+        _check_k(k)
+    elif k is not None:
+        raise ValueError(f"family {family.value} does not take k")
 
 
 def _mobius_sum(m: int, n: int, weights: dict[int, int], g) -> int:
@@ -187,32 +178,3 @@ def phik_interval(m: int, n: int, k: int, table: SieveTable) -> int:
     if k > n - m:
         return 0
     return _mobius_sum(m, n, _divisor_weights(m, n), lambda w: binomial(w, k))
-
-
-def f_upto(n: int, table: SieveTable) -> int:
-    """f over the full interval {1, ..., n}."""
-    return f_interval(0, n, table)
-
-
-def euler_phi_via_phik(n: int, table: SieveTable) -> int:
-    """Euler's totient of n recovered as phik(0, n, 1); requires n >= 2.
-
-    Singletons {a} with 1 <= a <= n and gcd(a, n) = 1 are exactly the
-    totatives of n, so the k = 1 slice of phik is the classical phi.
-    """
-    if n < 2:
-        raise ValueError(f"totient cross-check requires n >= 2, got {n}")
-    return phik_interval(0, n, 1, table)
-
-
-def count(query: CountQuery, table: SieveTable) -> int:
-    """Evaluate one counting query."""
-    if query.family is Family.F:
-        return f_interval(query.m, query.n, table)
-    if query.family is Family.FK:
-        assert query.k is not None
-        return fk_interval(query.m, query.n, query.k, table)
-    if query.family is Family.PHI:
-        return phi_interval(query.m, query.n, table)
-    assert query.k is not None
-    return phik_interval(query.m, query.n, query.k, table)

@@ -14,13 +14,6 @@ from itertools import compress
 _prime_flags = bytearray()
 
 
-def pow2(e: int) -> int:
-    """2**e for e >= 0."""
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return 1 << e
-
-
 def binomial(n: int, k: int) -> int:
     """C(n, k) with C(n, 0) = 1 and 0 whenever n < 0 or k > n.
 

@@ -2,36 +2,25 @@
 and apply the definitions directly. Exponential in the interval width, so a
 width guard keeps it honest."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .counting import CountQuery, Family, _check_interval
+from .counting import Family, _check_cell, _check_interval
 
 HARD_WIDTH_CAP = 30
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Width guard for the enumeration (2**(n-m) subsets per interval)."""
-
-    max_width: int = 24
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_width <= HARD_WIDTH_CAP:
-            raise ValueError(
-                f"max_width must be in 1..{HARD_WIDTH_CAP}, got {self.max_width}"
-            )
+def _check_max_width(max_width: int) -> None:
+    if not 1 <= max_width <= HARD_WIDTH_CAP:
+        raise ValueError(f"max_width must be in 1..{HARD_WIDTH_CAP}, got {max_width}")
 
 
-DEFAULT_CONFIG = OracleConfig()
-
-
-def _check_width(m: int, n: int, config: OracleConfig) -> None:
-    width = n - m
-    if width > config.max_width:
+def _check_width(m: int, n: int, max_width: int) -> None:
+    """The guard on the enumeration, which visits 2**(n-m) subsets."""
+    _check_max_width(max_width)
+    if n - m > max_width:
         raise ValueError(
-            f"interval width {width} exceeds oracle width cap {config.max_width}"
+            f"interval width {n - m} exceeds oracle width cap {max_width}"
         )
 
 
@@ -58,31 +47,33 @@ def _profile(m: int, n: int) -> dict[tuple[int, int], int]:
     return profile
 
 
-def oracle_count(query: CountQuery, config: OracleConfig = DEFAULT_CONFIG) -> int:
-    """Count by direct enumeration, straight from the definitions."""
-    _check_width(query.m, query.n, config)
-    profile = _profile(query.m, query.n)
-    n, k = query.n, query.k
-    if query.family is Family.F:
+def oracle_count(
+    family: Family, m: int, n: int, k: int | None = None, max_width: int = 24
+) -> int:
+    """Count by direct enumeration, straight from the definitions; k is the
+    cardinality for FK and PHIK."""
+    family = Family(family)  # a plain "F" would match no branch below
+    _check_cell(family, m, n, k)
+    _check_width(m, n, max_width)
+    profile = _profile(m, n)
+    if family is Family.F:
         return sum(c for (g, _), c in profile.items() if g == 1)
-    if query.family is Family.FK:
+    if family is Family.FK:
         return sum(c for (g, card), c in profile.items() if g == 1 and card == k)
-    if query.family is Family.PHI:
+    if family is Family.PHI:
         return sum(c for (g, _), c in profile.items() if gcd(g, n) == 1)
     return sum(
         c for (g, card), c in profile.items() if gcd(g, n) == 1 and card == k
     )
 
 
-def oracle_gcd_class_counts(
-    m: int, n: int, config: OracleConfig = DEFAULT_CONFIG
-) -> dict[int, int]:
+def oracle_gcd_class_counts(m: int, n: int, max_width: int = 24) -> dict[int, int]:
     """Subset count per exact gcd value; the values sum to 2**(n-m) - 1.
 
     Only classes that actually occur appear as keys.
     """
     _check_interval(m, n)
-    _check_width(m, n, config)
+    _check_width(m, n, max_width)
     out: dict[int, int] = {}
     for (g, _), c in _profile(m, n).items():
         out[g] = out.get(g, 0) + c

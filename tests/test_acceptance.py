@@ -16,7 +16,6 @@ from rpsets.bounds import (
 )
 from rpsets.cli import main
 from rpsets.counting import (
-    CountQuery,
     Family,
     f_interval,
     fk_interval,
@@ -45,20 +44,14 @@ def test_criterion_01_oracle_equivalence(report):
     bad = []
     for n in range(1, 21):
         for m in range(n):
-            if f_interval(m, n, TABLE_200) != oracle_count(CountQuery(Family.F, m, n)):
+            if f_interval(m, n, TABLE_200) != oracle_count(Family.F, m, n):
                 bad.append(("F", m, n, None))
-            if phi_interval(m, n, TABLE_200) != oracle_count(
-                CountQuery(Family.PHI, m, n)
-            ):
+            if phi_interval(m, n, TABLE_200) != oracle_count(Family.PHI, m, n):
                 bad.append(("PHI", m, n, None))
             for k in range(1, n - m + 1):
-                if fk_interval(m, n, k, TABLE_200) != oracle_count(
-                    CountQuery(Family.FK, m, n, k)
-                ):
+                if fk_interval(m, n, k, TABLE_200) != oracle_count(Family.FK, m, n, k):
                     bad.append(("FK", m, n, k))
-                if phik_interval(m, n, k, TABLE_200) != oracle_count(
-                    CountQuery(Family.PHIK, m, n, k)
-                ):
+                if phik_interval(m, n, k, TABLE_200) != oracle_count(Family.PHIK, m, n, k):
                     bad.append(("PHIK", m, n, k))
     report("criterion 1 (oracle equivalence, n <= 20)", not bad)
     assert not bad, f"closed form vs oracle mismatches: {bad[:10]}"

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from rpsets.bounds import (
@@ -12,11 +10,9 @@ from rpsets.bounds import (
     partition_identity_fk,
     partition_sum_f,
     partition_sum_fk,
-    reports_to_csv,
-    reports_to_json,
 )
 from rpsets.counting import f_interval
-from rpsets.exactmath import binomial, ceil_cbrt, pow2
+from rpsets.exactmath import binomial, ceil_cbrt, decimal_string
 from rpsets.sieve import build_sieve
 
 TABLE = build_sieve(400)
@@ -69,7 +65,7 @@ def test_even_endpoints_make_the_gap_formula_exact():
     for m in range(0, 20, 2):
         for n in range(m + 2, 40, 2):
             r = check_f(m, n, TABLE)
-            direct = pow2(n - m) - pow2((n - m) // 2) - f_interval(m, n, TABLE)
+            direct = 2 ** (n - m) - 2 ** ((n - m) // 2) - f_interval(m, n, TABLE)
             assert r.gap == direct
 
 
@@ -97,7 +93,7 @@ def test_tight_candidate_is_recorded_but_only_for_t2():
 
 
 def test_partition_identity_f_frozen_cases():
-    assert partition_sum_f(0, 4, TABLE) == pow2(4) - 1
+    assert partition_sum_f(0, 4, TABLE) == 2**4 - 1
     assert partition_identity_f(0, 1, TABLE)
     assert partition_identity_f(0, 4, TABLE)
     assert partition_identity_f(2, 6, TABLE)
@@ -127,31 +123,11 @@ def test_partition_sums_validate_arguments():
         partition_sum_fk(0, 4, 0, TABLE)
 
 
-def test_report_serialization_round_trip():
-    reports = [check_f(2, 6, TABLE), check_fk(2, 6, 2, TABLE), check_phi(2, 6, TABLE)]
-    records = json.loads(reports_to_json(reports))
-    assert [rec["theorem"] for rec in records] == ["T1", "T2", "T3"]
-    assert records[0]["gap"] == "3"
-    assert records[0]["upper"] == "24"
-    assert records[0]["k"] is None
-    assert records[1]["k"] == 2
-    assert records[0]["holds_lower"] is True
-    assert records[0]["tight_upper_holds"] is None
-    assert isinstance(records[1]["tight_upper_holds"], bool)
-
-    text = reports_to_csv(reports)
-    lines = text.splitlines()
-    assert lines[0] == "theorem,m,n,k,gap,upper,holds_lower,holds_upper,tight_upper_holds"
-    assert lines[1] == "T1,2,6,,3,24,true,true,"
-    assert lines[2].startswith("T2,2,6,2,1,18,true,true,")
-    assert len(lines) == 4
-
-
 def test_report_big_values_stay_decimal_strings():
+    # verify prints a failed report's values through decimal_string
     r = check_f(0, 80, TABLE)
-    rec = r.to_record()
-    assert rec["gap"] == str(r.gap)
-    assert int(rec["upper"]) == 2 * 80 * pow2(80 // 3)
+    assert decimal_string(r.gap) == str(r.gap)
+    assert int(decimal_string(r.upper)) == r.upper == 2 * 80 * 2 ** (80 // 3)
 
 
 def test_bound_report_is_plain_data():

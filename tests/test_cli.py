@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -21,7 +22,7 @@ from rpsets.cli import (
     parse_range,
     render_records,
 )
-from rpsets.counting import CountQuery, Family, f_interval
+from rpsets.counting import Family, f_interval, fk_interval, phi_interval, phik_interval
 from rpsets.oracle import oracle_count
 from rpsets.sieve import build_sieve
 
@@ -39,6 +40,16 @@ def test_compute_examples(capsys):
     assert (code, out.strip()) == (EXIT_OK, "2")
     code, out, _ = run_cli(capsys, "compute", "phi", "--m", "0", "--n", "1")
     assert (code, out.strip()) == (EXIT_OK, "1")
+    # each family runs its own count function
+    table = build_sieve(6)
+    for argv, expected in (
+        (("f",), f_interval(2, 6, table)),
+        (("fk", "--k", "2"), fk_interval(2, 6, 2, table)),
+        (("phi",), phi_interval(2, 6, table)),
+        (("phik", "--k", "2"), phik_interval(2, 6, 2, table)),
+    ):
+        code, out, err = run_cli(capsys, "compute", *argv, "--m", "2", "--n", "6")
+        assert (code, out) == (EXIT_OK, f"{expected}\n"), (argv, err)
 
 
 def test_compute_beyond_the_default_sieve_cap(capsys):
@@ -71,17 +82,20 @@ def test_a_value_error_from_a_count_is_internal(capsys, monkeypatch):
 
 
 def test_compute_usage_errors(capsys):
-    for m in ("3", "5"):
-        code, _, err = run_cli(capsys, "compute", "f", "--m", m, "--n", "3")
-        assert code == EXIT_USAGE
-        assert "m < n required" in err
-    code, _, err = run_cli(capsys, "compute", "fk", "--m", "0", "--n", "4")
-    assert code == EXIT_USAGE
-    assert "requires k" in err
-    code, _, err = run_cli(capsys, "compute", "fk", "--m", "0", "--n", "4", "--k", "0")
-    assert code == EXIT_USAGE
-    code, _, err = run_cli(capsys, "compute", "f", "--m", "0", "--n", "4", "--k", "2")
-    assert code == EXIT_USAGE
+    cases = [
+        (("f", "--m", "3", "--n", "3"), "m < n required"),
+        (("f", "--m", "5", "--n", "3"), "m < n required"),
+        (("f", "--m", "-1", "--n", "3"), "m must be >= 0"),
+        (("fk", "--m", "0", "--n", "4"), "family FK requires k"),
+        (("fk", "--m", "0", "--n", "4", "--k", "0"), "k must be >= 1"),
+        (("phik", "--m", "0", "--n", "4", "--k", "0"), "k must be >= 1"),
+        (("f", "--m", "0", "--n", "4", "--k", "2"), "family F does not take k"),
+        (("phi", "--m", "0", "--n", "4", "--k", "2"), "family PHI does not take k"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert message in err, argv
     code, _, err = run_cli(capsys, "bogus")
     assert code == EXIT_USAGE
 
@@ -102,7 +116,7 @@ def test_compute_phi_builds_no_table(capsys):
         capsys, "compute", "phik", "--m", str(m), "--n", str(BIG_PRIME), "--k", str(k)
     )
     assert code == EXIT_OK, err
-    assert int(out) == oracle_count(CountQuery(Family.PHIK, m, BIG_PRIME, k))
+    assert int(out) == oracle_count(Family.PHIK, m, BIG_PRIME, k)
 
 
 def _parse_in_chunks(digits: str) -> int:
@@ -278,6 +292,35 @@ def test_verify_oracle_skips_wide_intervals(capsys):
     code, _, err = run_cli(capsys, "verify", "oracle", "--n-max", "4", "--width-cap", "31")
     assert code == EXIT_USAGE
     assert "max_width must be in 1..30" in err
+
+
+def test_table_out_must_be_a_path(capsys, tmp_path):
+    # open() takes an int as a file descriptor, and closes it afterwards
+    cfg = tmp_path / "cfg.json"
+    for out_value in (True, 1, 7):
+        cfg.write_text(json.dumps({"out": out_value}))
+        code, out, err = run_cli(
+            capsys, "--config", str(cfg), "table", "--families", "F", "--m", "0", "--n", "1..3"
+        )
+        assert (code, out) == (EXIT_USAGE, ""), out_value
+        assert "out must be a path" in err
+        os.fstat(1)  # raises if fd 1 was closed
+
+
+def test_verify_failure_rows_of_any_size(capsys, monkeypatch):
+    def huge_f(m, n, table):
+        return 10**5000
+
+    monkeypatch.setattr(cli, "f_interval", huge_f)
+    code, out, err = run_cli(capsys, "verify", "oracle", "--n-max", "2")
+    assert code == EXIT_VERIFY_FAILED, err
+    lines = out.splitlines()
+    assert lines[0] == "family,m,n,k,expected,actual"
+    rows = [line for line in lines if line.startswith("F,")]
+    assert [row[:9] for row in rows] == ["F,0,1,,1,", "F,0,2,,2,", "F,1,2,,0,"]
+    assert all(len(row) == 5010 for row in rows)
+    assert all(_parse_in_chunks(row[9:]) == 10**5000 for row in rows)
+    assert lines[-1].endswith(", 3 failures")
 
 
 def test_verify_failure_reports_cell_and_values(capsys, monkeypatch):

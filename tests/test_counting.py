@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpsets.counting import (
-    CountQuery,
-    Family,
     _mertens,
-    count,
-    euler_phi_via_phik,
     f_interval,
-    f_upto,
     fk_interval,
     phi_interval,
     phik_interval,
@@ -151,25 +146,16 @@ def test_n_equals_one_edge():
     assert phik_interval(0, 1, 2, TABLE) == 0
 
 
-def test_f_upto_matches_zero_based_interval():
-    for n in range(1, 60):
-        assert f_upto(n, TABLE) == f_interval(0, n, TABLE)
-
-
 def test_euler_phi_cross_check():
-    assert euler_phi_via_phik(2, TABLE) == 1
-    assert euler_phi_via_phik(6, TABLE) == 2
-    assert euler_phi_via_phik(97, TABLE) == 96
+    # the singletons {a} with gcd(a, n) = 1 are the totatives of n
+    assert phik_interval(0, 2, 1, TABLE) == 1
+    assert phik_interval(0, 6, 1, TABLE) == 2
+    assert phik_interval(0, 97, 1, TABLE) == 96
     for n in range(2, 2001):
         product = n
         for p, _ in prime_factors(n):
             product = product // p * (p - 1)
-        assert euler_phi_via_phik(n, TABLE) == product, n
-
-
-def test_euler_phi_rejects_small_n():
-    with pytest.raises(ValueError):
-        euler_phi_via_phik(1, TABLE)
+        assert phik_interval(0, n, 1, TABLE) == product, n
 
 
 @pytest.mark.parametrize("func", [f_interval, phi_interval])
@@ -221,22 +207,3 @@ def test_table_size_does_not_change_counts(cell):
     full = all_families(m, n, k, TABLE)
     assert all_families(m, n, k, build_sieve(1)) == full
     assert all_families(m, n, k, build_sieve(ceil_cbrt(n * n))) == full
-
-
-def test_count_query_validation():
-    with pytest.raises(ValueError):
-        CountQuery(Family.F, 3, 3)
-    with pytest.raises(ValueError):
-        CountQuery(Family.FK, 0, 4)
-    with pytest.raises(ValueError):
-        CountQuery(Family.PHIK, 0, 4, 0)
-    with pytest.raises(ValueError):
-        CountQuery(Family.F, 0, 4, 2)
-    assert CountQuery(Family.FK, 0, 4, 2).k == 2
-
-
-def test_count_dispatch_matches_functions():
-    assert count(CountQuery(Family.F, 2, 6), TABLE) == f_interval(2, 6, TABLE)
-    assert count(CountQuery(Family.FK, 2, 6, 2), TABLE) == fk_interval(2, 6, 2, TABLE)
-    assert count(CountQuery(Family.PHI, 2, 6), TABLE) == phi_interval(2, 6, TABLE)
-    assert count(CountQuery(Family.PHIK, 2, 6, 2), TABLE) == phik_interval(2, 6, 2, TABLE)

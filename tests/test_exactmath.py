@@ -5,34 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsets.exactmath import _binomial_by_factors, binomial, ceil_cbrt, decimal_string, pow2
-
-
-def test_pow2_frozen_values():
-    assert pow2(0) == 1
-    assert pow2(1) == 2
-    assert pow2(10) == 1024
-    assert pow2(70) == 1180591620717411303424
-
-
-def test_pow2_matches_repeated_doubling():
-    acc = 1
-    for e in range(301):
-        assert pow2(e) == acc
-        acc *= 2
-
-
-def test_pow2_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        pow2(-1)
-
-
-def test_pow2_additivity_sampled():
-    rng = random.Random(20260822)
-    for _ in range(200):
-        a = rng.randrange(0, 1000)
-        b = rng.randrange(0, 1000)
-        assert pow2(a) * pow2(b) == pow2(a + b)
+from rpsets.exactmath import _binomial_by_factors, binomial, ceil_cbrt, decimal_string
 
 
 def test_binomial_frozen_values():

@@ -1,24 +1,21 @@
 import pytest
 
-from rpsets.counting import CountQuery, Family, f_interval
-from rpsets.oracle import (
-    HARD_WIDTH_CAP,
-    OracleConfig,
-    oracle_count,
-    oracle_gcd_class_counts,
-)
+from rpsets.counting import Family, f_interval
+from rpsets.oracle import HARD_WIDTH_CAP, oracle_count, oracle_gcd_class_counts
 from rpsets.sieve import build_sieve
 
 TABLE = build_sieve(64)
 
 
 def test_oracle_frozen_values():
-    assert oracle_count(CountQuery(Family.F, 0, 3)) == 5
-    assert oracle_count(CountQuery(Family.F, 1, 2)) == 0
-    assert oracle_count(CountQuery(Family.F, 2, 6)) == 9
-    assert oracle_count(CountQuery(Family.FK, 0, 4, 2)) == 5
-    assert oracle_count(CountQuery(Family.PHI, 2, 6)) == 10
-    assert oracle_count(CountQuery(Family.PHIK, 2, 6, 2)) == 4
+    assert oracle_count(Family.F, 0, 3) == 5
+    assert oracle_count(Family.F, 1, 2) == 0
+    assert oracle_count(Family.F, 2, 6) == 9
+    assert oracle_count(Family.FK, 0, 4, 2) == 5
+    assert oracle_count(Family.PHI, 2, 6) == 10
+    assert oracle_count(Family.PHIK, 2, 6, 2) == 4
+    assert oracle_count("F", 2, 6) == 9
+    assert oracle_count("PHIK", 2, 6, 2) == 4
 
 
 def test_gcd_class_counts_frozen_values():
@@ -51,31 +48,31 @@ def test_gcd_classes_scale_to_smaller_intervals():
 def test_oracle_agrees_with_closed_forms_quick():
     for n in range(1, 11):
         for m in range(n):
-            assert oracle_count(CountQuery(Family.F, m, n)) == f_interval(m, n, TABLE)
+            assert oracle_count(Family.F, m, n) == f_interval(m, n, TABLE)
 
 
 def test_width_cap_enforced():
-    cfg = OracleConfig(max_width=8)
     with pytest.raises(ValueError, match="width cap 8"):
-        oracle_count(CountQuery(Family.F, 0, 9), cfg)
+        oracle_count(Family.F, 0, 9, max_width=8)
     with pytest.raises(ValueError, match="width cap 8"):
-        oracle_gcd_class_counts(0, 9, cfg)
+        oracle_gcd_class_counts(0, 9, max_width=8)
     # 2^8 - 1 subsets minus the gcd >= 2 classes (11 + 5 + 2 + 5 ones)
-    assert oracle_count(CountQuery(Family.F, 1, 9), cfg) == 232
+    assert oracle_count(Family.F, 1, 9, max_width=8) == 232
 
 
 def test_default_width_cap_is_24():
     with pytest.raises(ValueError, match="width cap 24"):
-        oracle_count(CountQuery(Family.F, 0, 25))
+        oracle_count(Family.F, 0, 25)
 
 
 def test_config_rejects_widths_beyond_hard_cap():
     assert HARD_WIDTH_CAP == 30
-    with pytest.raises(ValueError):
-        OracleConfig(max_width=31)
-    with pytest.raises(ValueError):
-        OracleConfig(max_width=0)
-    assert OracleConfig(max_width=30).max_width == 30
+    for max_width in (31, 0):
+        with pytest.raises(ValueError, match="max_width must be in 1..30"):
+            oracle_count(Family.F, 0, 1, max_width=max_width)
+        with pytest.raises(ValueError, match="max_width must be in 1..30"):
+            oracle_gcd_class_counts(0, 1, max_width=max_width)
+    assert oracle_count(Family.F, 0, 1, max_width=30) == 1
 
 
 def test_class_counts_validation():
@@ -83,3 +80,16 @@ def test_class_counts_validation():
         oracle_gcd_class_counts(4, 4)
     with pytest.raises(ValueError):
         oracle_gcd_class_counts(-1, 4)
+
+
+def test_oracle_count_validation():
+    with pytest.raises(ValueError):
+        oracle_count("X", 0, 4)
+    with pytest.raises(ValueError, match="m < n required"):
+        oracle_count(Family.F, 4, 4)
+    with pytest.raises(ValueError, match="family FK requires k"):
+        oracle_count(Family.FK, 0, 4)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        oracle_count(Family.PHIK, 0, 4, 0)
+    with pytest.raises(ValueError, match="family PHI does not take k"):
+        oracle_count(Family.PHI, 0, 4, 2)
