@@ -22,7 +22,7 @@ from rpsets.cli import (
     parse_range,
     render_records,
 )
-from rpsets.counting import Family, f_interval, fk_interval, phi_interval, phik_interval
+from rpsets.counting import Family, f_interval
 from rpsets.oracle import oracle_count
 from rpsets.sieve import build_sieve
 
@@ -40,16 +40,6 @@ def test_compute_examples(capsys):
     assert (code, out.strip()) == (EXIT_OK, "2")
     code, out, _ = run_cli(capsys, "compute", "phi", "--m", "0", "--n", "1")
     assert (code, out.strip()) == (EXIT_OK, "1")
-    # each family runs its own count function
-    table = build_sieve(6)
-    for argv, expected in (
-        (("f",), f_interval(2, 6, table)),
-        (("fk", "--k", "2"), fk_interval(2, 6, 2, table)),
-        (("phi",), phi_interval(2, 6, table)),
-        (("phik", "--k", "2"), phik_interval(2, 6, 2, table)),
-    ):
-        code, out, err = run_cli(capsys, "compute", *argv, "--m", "2", "--n", "6")
-        assert (code, out) == (EXIT_OK, f"{expected}\n"), (argv, err)
 
 
 def test_compute_beyond_the_default_sieve_cap(capsys):

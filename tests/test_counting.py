@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpsets.cli import main
 from rpsets.counting import (
+    Family,
+    _check_cell,
     _mertens,
     f_interval,
     fk_interval,
@@ -207,3 +210,27 @@ def test_table_size_does_not_change_counts(cell):
     full = all_families(m, n, k, TABLE)
     assert all_families(m, n, k, build_sieve(1)) == full
     assert all_families(m, n, k, build_sieve(ceil_cbrt(n * n))) == full
+
+
+def test_count_query_validation():
+    with pytest.raises(ValueError):
+        _check_cell(Family.F, 3, 3, None)
+    with pytest.raises(ValueError):
+        _check_cell(Family.FK, 0, 4, None)
+    with pytest.raises(ValueError):
+        _check_cell(Family.PHIK, 0, 4, 0)
+    with pytest.raises(ValueError):
+        _check_cell(Family.F, 0, 4, 2)
+    _check_cell(Family.FK, 0, 4, 2)
+
+
+def test_count_dispatch_matches_functions(capsys):
+    # compute dispatches on the family to its own count function
+    for argv, expected in (
+        (("f",), f_interval(2, 6, TABLE)),
+        (("fk", "--k", "2"), fk_interval(2, 6, 2, TABLE)),
+        (("phi",), phi_interval(2, 6, TABLE)),
+        (("phik", "--k", "2"), phik_interval(2, 6, 2, TABLE)),
+    ):
+        assert main(["compute", *argv, "--m", "2", "--n", "6"]) == 0, argv
+        assert capsys.readouterr().out == f"{expected}\n", argv
