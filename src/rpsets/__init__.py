@@ -13,7 +13,9 @@ from .bounds import (
     partition_sum_fk,
 )
 from .counting import (
+    CountPlane,
     Family,
+    count_plane,
     f_interval,
     fk_interval,
     phi_interval,
@@ -36,6 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CapacityError",
+    "CountPlane",
     "DEFAULT_LIMIT_CAP",
     "Family",
     "HARD_WIDTH_CAP",
@@ -46,6 +49,7 @@ __all__ = [
     "check_fk",
     "check_phi",
     "check_phik",
+    "count_plane",
     "divisors",
     "f_interval",
     "fk_interval",

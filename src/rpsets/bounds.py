@@ -4,19 +4,17 @@ Each check_* evaluates one theorem instance as a gap: the dominant term minus
 the correction term minus the exact count. The theorems assert 0 <= gap and
 gap <= upper for an explicit upper; both comparisons are exact integer
 arithmetic, and a False flag in a report is a bug detector, not a tolerance.
+
+The checks take the exact count, and the partition sums a count function
+(a, b) -> count over {a+1, ..., b}, so they work with any source of counts:
+the *_interval kernel or the planes of counting.count_plane.
 """
 
 from dataclasses import dataclass
 
-from .counting import (
-    _check_interval,
-    f_interval,
-    fk_interval,
-    phi_interval,
-    phik_interval,
-)
+from .counting import _check_interval, _check_k
 from .exactmath import binomial
-from .sieve import SieveTable, smallest_prime_divisor
+from .sieve import smallest_prime_divisor
 
 
 @dataclass(frozen=True)
@@ -39,16 +37,19 @@ class BoundReport:
     tight_upper_holds: bool | None = None
 
 
-def check_f(m: int, n: int, table: SieveTable) -> BoundReport:
-    """Gap of f(m, n) below 2^(n-m) - 2^(floor(n/2) - floor(m/2))."""
-    gap = (1 << (n - m)) - (1 << (n // 2 - m // 2)) - f_interval(m, n, table)
+def check_f(m: int, n: int, f: int) -> BoundReport:
+    """Gap of f = f(m, n) below 2^(n-m) - 2^(floor(n/2) - floor(m/2))."""
+    _check_interval(m, n)
+    gap = (1 << (n - m)) - (1 << (n // 2 - m // 2)) - f
     upper = (2 * n) << ((n - m) // 3)
     return BoundReport("T1", m, n, None, gap, upper, gap >= 0, gap <= upper)
 
 
-def check_fk(m: int, n: int, k: int, table: SieveTable) -> BoundReport:
-    """Gap of fk(m, n, k) below C(n-m, k) - C(floor(n/2) - floor(m/2), k)."""
-    gap = binomial(n - m, k) - binomial(n // 2 - m // 2, k) - fk_interval(m, n, k, table)
+def check_fk(m: int, n: int, k: int, fk: int) -> BoundReport:
+    """Gap of fk = fk(m, n, k) below C(n-m, k) - C(floor(n/2) - floor(m/2), k)."""
+    _check_interval(m, n)
+    _check_k(k)
+    gap = binomial(n - m, k) - binomial(n // 2 - m // 2, k) - fk
     upper = n * binomial((n - m) // 3 + 2, k)
     tight = n * binomial((n - m) // 3, k)
     return BoundReport(
@@ -57,57 +58,64 @@ def check_fk(m: int, n: int, k: int, table: SieveTable) -> BoundReport:
     )
 
 
-def check_phi(m: int, n: int, table: SieveTable) -> BoundReport:
-    """Gap of phi(m, n) below 2^(n-m) - 2^(n/p - floor(m/p)), p the least
-    prime divisor of n. Requires n >= 2."""
-    p = smallest_prime_divisor(n)
-    gap = (1 << (n - m)) - (1 << (n // p - m // p)) - phi_interval(m, n, table)
+def check_phi(m: int, n: int, phi: int, p: int | None = None) -> BoundReport:
+    """Gap of phi = phi(m, n) below 2^(n-m) - 2^(n/p - floor(m/p)), p the
+    least prime divisor of n, found from n when not given. Requires n >= 2."""
+    _check_interval(m, n)
+    if p is None:
+        p = smallest_prime_divisor(n)
+    gap = (1 << (n - m)) - (1 << (n // p - m // p)) - phi
     upper = (2 * n) << ((n - m) // (p + 1))
     return BoundReport("T3", m, n, None, gap, upper, gap >= 0, gap <= upper)
 
 
-def check_phik(m: int, n: int, k: int, table: SieveTable) -> BoundReport:
-    """Gap of phik(m, n, k) below C(n-m, k) - C(n/p - floor(m/p), k)."""
-    p = smallest_prime_divisor(n)
-    gap = binomial(n - m, k) - binomial(n // p - m // p, k) - phik_interval(m, n, k, table)
+def check_phik(m: int, n: int, k: int, phik: int, p: int | None = None) -> BoundReport:
+    """Gap of phik = phik(m, n, k) below C(n-m, k) - C(n/p - floor(m/p), k),
+    p as for check_phi."""
+    _check_interval(m, n)
+    _check_k(k)
+    if p is None:
+        p = smallest_prime_divisor(n)
+    gap = binomial(n - m, k) - binomial(n // p - m // p, k) - phik
     upper = n * binomial((n - m) // (p + 1) + 1, k)
     return BoundReport("T4", m, n, k, gap, upper, gap >= 0, gap <= upper)
 
 
-def _partition_sum(m: int, n: int, count_fn) -> int:
-    """Sum over d of count_fn(floor(m/d), floor(n/d)), each distinct pair
-    counted once. The d = 1 term is count_fn(m, n), which checks k."""
+def _partition_sum(m: int, n: int, count) -> int:
+    """Sum over d of count(floor(m/d), floor(n/d)), over the d with
+    floor(n/d) > floor(m/d). Both quotients are constant on blocks of
+    consecutive d, so count is called once per block, O(sqrt(n)) times."""
     _check_interval(m, n)
-    cache: dict[tuple[int, int], int] = {}
     total = 0
-    for d in range(1, n + 1):
+    d = 1
+    while d <= n:
         md, nd = m // d, n // d
-        if nd <= md:
-            continue
-        key = (md, nd)
-        val = cache.get(key)
-        if val is None:
-            val = cache[key] = count_fn(md, nd)
-        total += val
+        end = min(n // nd, m // md if md else n)
+        if nd > md:
+            total += (end - d + 1) * count(md, nd)
+        d = end + 1
     return total
 
 
-def partition_sum_f(m: int, n: int, table: SieveTable) -> int:
+def partition_sum_f(m: int, n: int, f) -> int:
     """Sum over d of f(floor(m/d), floor(n/d)), the gcd-class decomposition
-    of all nonempty subsets of {m+1, ..., n}."""
-    return _partition_sum(m, n, lambda a, b: f_interval(a, b, table))
+    of all nonempty subsets of {m+1, ..., n}; f(a, b) counts the relatively
+    prime subsets of {a+1, ..., b}."""
+    return _partition_sum(m, n, f)
 
 
-def partition_identity_f(m: int, n: int, table: SieveTable) -> bool:
+def partition_identity_f(m: int, n: int, f) -> bool:
     """Whether the gcd classes add back up to 2^(n-m) - 1."""
-    return partition_sum_f(m, n, table) == (1 << (n - m)) - 1
+    return partition_sum_f(m, n, f) == (1 << (n - m)) - 1
 
 
-def partition_sum_fk(m: int, n: int, k: int, table: SieveTable) -> int:
-    """Cardinality-k slice of partition_sum_f."""
-    return _partition_sum(m, n, lambda a, b: fk_interval(a, b, k, table))
+def partition_sum_fk(m: int, n: int, k: int, fk) -> int:
+    """Cardinality-k slice of partition_sum_f; fk(a, b) counts the
+    relatively prime k-element subsets of {a+1, ..., b}."""
+    _check_k(k)
+    return _partition_sum(m, n, fk)
 
 
-def partition_identity_fk(m: int, n: int, k: int, table: SieveTable) -> bool:
+def partition_identity_fk(m: int, n: int, k: int, fk) -> bool:
     """Whether the k-element gcd classes add back up to C(n-m, k)."""
-    return partition_sum_fk(m, n, k, table) == binomial(n - m, k)
+    return partition_sum_fk(m, n, k, fk) == binomial(n - m, k)

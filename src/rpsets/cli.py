@@ -25,7 +25,9 @@ from .bounds import (
 from .counting import (
     Family,
     K_FAMILIES,
+    SIEVED_FAMILIES,
     _check_cell,
+    count_plane,
     f_interval,
     fk_interval,
     phi_interval,
@@ -33,7 +35,13 @@ from .counting import (
 )
 from .exactmath import binomial, ceil_cbrt, decimal_string
 from .oracle import _check_max_width, oracle_count
-from .sieve import CapacityError, DEFAULT_LIMIT_CAP, SieveTable, build_sieve
+from .sieve import (
+    CapacityError,
+    DEFAULT_LIMIT_CAP,
+    SieveTable,
+    build_sieve,
+    smallest_prime_divisor,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,7 +127,7 @@ def parse_families(text: str) -> tuple[Family, ...]:
     return tuple(sorted(chosen, key=order.index))
 
 
-def build_table_records(spec: TableSpec, table: SieveTable) -> list[dict]:
+def build_table_records(spec: TableSpec, table: SieveTable | None) -> list[dict]:
     """Rows in deterministic order: family, then m, then n, then k, ascending.
 
     Cells with m >= n are skipped, so an empty intersection yields no rows.
@@ -227,8 +235,8 @@ def _run_compute(args, cfg: dict) -> int:
         _check_cell(family, m, n, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    table = None  # phi and phik need only the factorization of n
-    if family in (Family.F, Family.FK):
+    table = None
+    if family in SIEVED_FAMILIES:
         # M(x) for x above n^(2/3) costs less by its recursion than by sieving
         table = build_sieve(ceil_cbrt(n * n), cap=_sieve_cap(cfg))
     # looked up at call time, so a replaced counting function is the one used
@@ -249,8 +257,9 @@ def _run_table(args, cfg: dict) -> int:
         format=fmt,
         output_path=out,
     )
-    limit = max(1, spec.n_range[1])
-    table = build_sieve(limit, cap=_sieve_cap(cfg))
+    table = None
+    if any(family in SIEVED_FAMILIES for family in spec.families):
+        table = build_sieve(spec.n_range[1], cap=_sieve_cap(cfg))
     records = build_table_records(spec, table)
     _emit(render_records(records, spec.format), spec.output_path)
     return EXIT_OK
@@ -261,20 +270,25 @@ def _csv_cell(value) -> str:
     return "" if value is None else value if isinstance(value, str) else decimal_string(value)
 
 
-def _verify(n_max: int, cfg: dict, check, summary) -> int:
+def _resolve_n_max(args, cfg: dict, fallback: int) -> int:
+    n_max = _resolve_int(args, cfg, "n_max", fallback)
+    if n_max < 1:
+        raise UsageError(f"n_max must be >= 1, got {n_max}")
+    return n_max
+
+
+def _verify(n_max: int, check, summary) -> int:
     """Run one campaign over every interval 0 <= m < n <= n_max.
 
-    check(m, n, table, failures) checks one interval, appends a (label, m,
-    n, k, expected, actual) row per failed item and returns how many items
-    it checked. The failure rows print as CSV, then the last line is
-    summary(checked, failed).
+    check(n, failures) checks the intervals {m+1, ..., n} for every m < n in
+    ascending order, appends a (label, m, n, k, expected, actual) row per
+    failed item and returns how many items it checked. The failure rows
+    print as CSV, then the last line is summary(checked, failed).
     """
-    table = build_sieve(max(1, n_max), cap=_sieve_cap(cfg))
     checked = 0
     failures: list[tuple] = []
     for n in range(1, n_max + 1):
-        for m in range(n):
-            checked += check(m, n, table, failures)
+        checked += check(n, failures)
     if failures:
         print("family,m,n,k,expected,actual")
         for row in failures:
@@ -284,30 +298,34 @@ def _verify(n_max: int, cfg: dict, check, summary) -> int:
 
 
 def _verify_oracle(args, cfg: dict) -> int:
-    n_max = _resolve_int(args, cfg, "n_max", 16)
+    """The kernel that compute and table use, against the oracle."""
+    n_max = _resolve_n_max(args, cfg, 16)
     width_cap = _resolve_int(args, cfg, "width_cap", 24)
     try:
         _check_max_width(width_cap)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    table = build_sieve(n_max, cap=_sieve_cap(cfg))
     intervals = skipped = 0
 
-    def check(m, n, table, failures):
+    def check(n, failures):
         nonlocal intervals, skipped
-        if n - m > width_cap:
-            skipped += 1
-            return 0
-        intervals += 1
-        cells = [(Family.F, None, f_interval(m, n, table)),
-                 (Family.PHI, None, phi_interval(m, n, table))]
-        for k in range(1, n - m + 1):
-            cells.append((Family.FK, k, fk_interval(m, n, k, table)))
-            cells.append((Family.PHIK, k, phik_interval(m, n, k, table)))
-        for family, k, actual in cells:
-            expected = oracle_count(family, m, n, k, width_cap)
-            if expected != actual:
-                failures.append((family.value, m, n, k, expected, actual))
-        return len(cells)
+        low = max(0, n - width_cap)  # wider intervals are skipped
+        skipped += low
+        intervals += n - low
+        cells = 0
+        for m in range(low, n):
+            found = [(Family.F, None, f_interval(m, n, table)),
+                     (Family.PHI, None, phi_interval(m, n, table))]
+            for k in range(1, n - m + 1):
+                found.append((Family.FK, k, fk_interval(m, n, k, table)))
+                found.append((Family.PHIK, k, phik_interval(m, n, k, table)))
+            for family, k, actual in found:
+                expected = oracle_count(family, m, n, k, width_cap)
+                if expected != actual:
+                    failures.append((family.value, m, n, k, expected, actual))
+            cells += len(found)
+        return cells
 
     def summary(cells, failed):
         line = (
@@ -318,42 +336,73 @@ def _verify_oracle(args, cfg: dict) -> int:
             line += f"; skipped {skipped} intervals wider than {width_cap}"
         return line
 
-    return _verify(n_max, cfg, check, summary)
+    return _verify(n_max, check, summary)
 
 
 def _verify_bounds(args, cfg: dict) -> int:
-    def check(m, n, table, failures):
-        ks = range(1, n - m + 1)
-        reports = [check_f(m, n, table)] + [check_fk(m, n, k, table) for k in ks]
-        if n >= 2:  # T3 and T4 need a prime divisor of n
-            reports += [check_phi(m, n, table)] + [check_phik(m, n, k, table) for k in ks]
+    """T1-T4 on every cell, with the counts from n's plane."""
+
+    def check(n, failures):
+        plane = count_plane(n)
+        p = smallest_prime_divisor(n) if n >= 2 else None  # T3 and T4 need one
+        reports = []
+        for m in range(n):
+            ks = range(1, n - m + 1)
+            fk, phik = plane.fk[m], plane.phik[m]
+            reports.append(check_f(m, n, plane.f[m]))
+            reports += [check_fk(m, n, k, fk[k]) for k in ks]
+            if p is not None:
+                reports.append(check_phi(m, n, plane.phi[m], p))
+                reports += [check_phik(m, n, k, phik[k], p) for k in ks]
         for r in reports:
             if not (r.holds_lower and r.holds_upper):
-                failures.append((r.theorem, m, n, r.k, f"0..{decimal_string(r.upper)}", r.gap))
+                failures.append((r.theorem, r.m, n, r.k, f"0..{decimal_string(r.upper)}", r.gap))
         return len(reports)
 
     summary = "verify bounds: checked {} bound reports, {} failures".format
-    return _verify(_resolve_int(args, cfg, "n_max", 100), cfg, check, summary)
+    return _verify(_resolve_n_max(args, cfg, 100), check, summary)
 
 
 def _verify_identities(args, cfg: dict) -> int:
-    n_max = _resolve_int(args, cfg, "n_max", 60)
+    """The gcd-partition identities, with the counts of every smaller
+    interval read from the planes built so far."""
+    n_max = _resolve_n_max(args, cfg, 60)
     k_max = _resolve_int(args, cfg, "k_max", 10)
+    # f_rows[b][a] = f(a, b) and fk_rows[b][a][k] = fk(a, b, k); b starts at 1
+    f_rows: list[list[int]] = [[]]
+    fk_rows: list[list[list[int]]] = [[]]
 
-    def check(m, n, table, failures):
-        # a failed identity is rare, so only then is its sum computed again
-        if not partition_identity_f(m, n, table):
-            failures.append(("F", m, n, None, (1 << (n - m)) - 1, partition_sum_f(m, n, table)))
-        ks = range(1, min(n - m, k_max) + 1)
-        for k in ks:
-            if not partition_identity_fk(m, n, k, table):
-                failures.append(
-                    ("FK", m, n, k, binomial(n - m, k), partition_sum_fk(m, n, k, table))
-                )
-        return 1 + len(ks)
+    def f(a, b):
+        return f_rows[b][a]
+
+    def fk_of(k):
+        def fk(a, b):
+            row = fk_rows[b][a]
+            return row[k] if k < len(row) else 0
+
+        return fk
+
+    def check(n, failures):
+        plane = count_plane(n)
+        f_rows.append(plane.f)
+        fk_rows.append(plane.fk)
+        checked = 0
+        for m in range(n):
+            # a failed identity is rare, so only then is its sum computed again
+            if not partition_identity_f(m, n, f):
+                failures.append(("F", m, n, None, (1 << (n - m)) - 1, partition_sum_f(m, n, f)))
+            ks = range(1, min(n - m, k_max) + 1)
+            for k in ks:
+                fk = fk_of(k)
+                if not partition_identity_fk(m, n, k, fk):
+                    failures.append(
+                        ("FK", m, n, k, binomial(n - m, k), partition_sum_fk(m, n, k, fk))
+                    )
+            checked += 1 + len(ks)
+        return checked
 
     summary = "verify identities: checked {} identities, {} failures".format
-    return _verify(n_max, cfg, check, summary)
+    return _verify(n_max, check, summary)
 
 
 _VERIFY_MODES = {

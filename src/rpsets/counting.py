@@ -13,11 +13,16 @@ g(w) = C(w, k) for fk and phik. f and fk sum over all d up to n, taken in
 blocks of d with common quotients and weighted by differences of the Mertens
 function M; phi and phik sum over the squarefree divisors of n only. Every
 value is an exact int.
+
+count_plane(n) gives all four counts for every m < n and every k at once,
+from a recurrence in m instead of the sums.
 """
 
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
+from operator import add, sub
+from typing import NamedTuple
 
 from .exactmath import binomial
 from .sieve import SieveTable, prime_factors
@@ -31,6 +36,9 @@ class Family(str, Enum):
 
 
 K_FAMILIES = (Family.FK, Family.PHIK)
+# The families whose sums read the Mobius/Mertens table; phi and phik need
+# only the factorization of n.
+SIEVED_FAMILIES = (Family.F, Family.FK)
 
 
 def _check_interval(m: int, n: int) -> None:
@@ -178,3 +186,55 @@ def phik_interval(m: int, n: int, k: int, table: SieveTable) -> int:
     if k > n - m:
         return 0
     return _mobius_sum(m, n, _divisor_weights(m, n), lambda w: binomial(w, k))
+
+
+class CountPlane(NamedTuple):
+    """Every count over the intervals {m+1, ..., n} of one n.
+
+    f[m] and phi[m] for 0 <= m < n, and fk[m][k] and phik[m][k] for
+    0 <= k <= n - m, where k = 0 counts nothing: fk[m][0] = phik[m][0] = 0.
+    """
+
+    n: int
+    f: list[int]
+    fk: list[list[int]]
+    phi: list[int]
+    phik: list[list[int]]
+
+
+def count_plane(n: int) -> CountPlane:
+    """All four counts of every interval {m+1, ..., n}, 0 <= m < n, and
+    every k, from one pass down m = n-1, ..., 0.
+
+    The subsets of {a, ..., n}, a = m+1, that hold a are {a} + B with B a
+    subset of {a+1, ..., n}. There are n//d - a/d multiples of d in that
+    range, so by Mobius inversion over the squarefree d | a
+        f(m, n) = f(m+1, n) + Sigma_{d|a} mu(d) 2^(n//d - a/d),  f(n, n) = 0,
+    and fk takes C(n//d - a/d, k-1) in place of the power of 2. phi and
+    phik keep only the d that also divide n. Each step adds one binomial
+    row per squarefree d | a; no sieve and no Mertens value is needed.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    rows: dict[int, list[int]] = {}  # x -> [C(x, 0), ..., C(x, x)]
+    f, phi = [0] * n, [0] * n
+    fk: list[list[int]] = [[]] * n
+    phik: list[list[int]] = [[]] * n
+    f_m = phi_m = 0
+    fk_m = phik_m = [0]  # the empty interval {n+1, ..., n}
+    for m in range(n - 1, -1, -1):
+        a = m + 1
+        fk_m, phik_m = fk_m + [0], phik_m + [0]
+        for d, mu in _squarefree_divisors(a):
+            x = n // d - a // d
+            row = rows.get(x)
+            if row is None:
+                row = rows[x] = [binomial(x, j) for j in range(x + 1)]
+            step = add if mu > 0 else sub
+            f_m = step(f_m, 1 << x)
+            fk_m[1 : x + 2] = map(step, fk_m[1 : x + 2], row)
+            if n % d == 0:
+                phi_m = step(phi_m, 1 << x)
+                phik_m[1 : x + 2] = map(step, phik_m[1 : x + 2], row)
+        f[m], fk[m], phi[m], phik[m] = f_m, fk_m, phi_m, phik_m
+    return CountPlane(n, f, fk, phi, phik)

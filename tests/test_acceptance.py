@@ -24,7 +24,7 @@ from rpsets.counting import (
 )
 from rpsets.exactmath import binomial
 from rpsets.oracle import oracle_count
-from rpsets.sieve import build_sieve, divisors, prime_factors
+from rpsets.sieve import build_sieve, divisors, prime_factors, smallest_prime_divisor
 
 TABLE_200 = build_sieve(200)
 TABLE_10K = build_sieve(10**4)
@@ -61,7 +61,7 @@ def test_criterion_02_t1_bounds(report):
     bad = []
     for n in range(1, 201):
         for m in range(n):
-            r = check_f(m, n, TABLE_200)
+            r = check_f(m, n, f_interval(m, n, TABLE_200))
             if not (r.holds_lower and r.holds_upper):
                 bad.append((m, n, r.gap, r.upper))
     report("criterion 2 (T1 bounds, n <= 200)", not bad)
@@ -73,7 +73,7 @@ def test_criterion_03_t2_bounds(report):
     for n in range(1, 121):
         for m in range(n):
             for k in range(1, n - m + 1):
-                r = check_fk(m, n, k, TABLE_200)
+                r = check_fk(m, n, k, fk_interval(m, n, k, TABLE_200))
                 if not (r.holds_lower and r.holds_upper):
                     bad.append((m, n, k, r.gap, r.upper))
     report("criterion 3 (T2 bounds, n <= 120)", not bad)
@@ -83,12 +83,13 @@ def test_criterion_03_t2_bounds(report):
 def test_criterion_04_t3_t4_bounds(report):
     bad = []
     for n in range(2, 201):
+        p = smallest_prime_divisor(n)
         for m in range(n):
-            r = check_phi(m, n, TABLE_200)
+            r = check_phi(m, n, phi_interval(m, n, TABLE_200), p)
             if not (r.holds_lower and r.holds_upper):
                 bad.append(("T3", m, n, None, r.gap, r.upper))
             for k in range(1, n - m + 1):
-                r = check_phik(m, n, k, TABLE_200)
+                r = check_phik(m, n, k, phik_interval(m, n, k, TABLE_200), p)
                 if not (r.holds_lower and r.holds_upper):
                     bad.append(("T4", m, n, k, r.gap, r.upper))
     report("criterion 4 (T3/T4 bounds, n <= 200)", not bad)
@@ -96,13 +97,17 @@ def test_criterion_04_t3_t4_bounds(report):
 
 
 def test_criterion_05_partition_identities(report):
+    def f(a, b):
+        return f_interval(a, b, TABLE_200)
+
     bad = []
     for n in range(1, 101):
         for m in range(n):
-            if not partition_identity_f(m, n, TABLE_200):
+            if not partition_identity_f(m, n, f):
                 bad.append(("F", m, n, None))
             for k in range(1, min(n - m, 10) + 1):
-                if not partition_identity_fk(m, n, k, TABLE_200):
+                fk = lambda a, b: fk_interval(a, b, k, TABLE_200)
+                if not partition_identity_fk(m, n, k, fk):
                     bad.append(("FK", m, n, k))
     report("criterion 5 (partition identities, n <= 100)", not bad)
     assert not bad, f"identity failures: {bad[:10]}"

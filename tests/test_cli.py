@@ -22,7 +22,7 @@ from rpsets.cli import (
     parse_range,
     render_records,
 )
-from rpsets.counting import Family, f_interval
+from rpsets.counting import Family, count_plane, f_interval
 from rpsets.oracle import oracle_count
 from rpsets.sieve import build_sieve
 
@@ -107,6 +107,17 @@ def test_compute_phi_builds_no_table(capsys):
     )
     assert code == EXIT_OK, err
     assert int(out) == oracle_count(Family.PHIK, m, BIG_PRIME, k)
+
+
+def test_table_of_phi_builds_no_table(capsys):
+    # n is twice the default sieve cap, so any sieve would exit 3
+    argv = ["--m", "19999990", "--n", "20000000"]
+    code, out, err = run_cli(capsys, "table", "--families", "PHI", *argv)
+    assert code == EXIT_OK, err
+    (record,) = json.loads(out)
+    code, computed, err = run_cli(capsys, "compute", "phi", *argv)
+    assert code == EXIT_OK, err
+    assert record["value"] == computed.strip() == "990"
 
 
 def _parse_in_chunks(digits: str) -> int:
@@ -322,6 +333,48 @@ def test_verify_failure_reports_cell_and_values(capsys, monkeypatch):
     assert code == EXIT_VERIFY_FAILED
     assert "family,m,n,k,expected,actual" in out
     assert "F,0,1,,1,1000000" in out
+
+
+def test_verify_bounds_and_identities_report_failed_cells(capsys, monkeypatch):
+    def off_plane(n):
+        plane = count_plane(n)
+        plane.f[0] += 1 << n  # above 2^n - 1, every subset of {1, ..., n}
+        return plane
+
+    monkeypatch.setattr(cli, "count_plane", off_plane)
+    code, out, _ = run_cli(capsys, "verify", "bounds", "--n-max", "3")
+    assert code == EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    assert lines[:2] == ["family,m,n,k,expected,actual", "T1,0,1,,0..2,-2"]
+    assert len(lines) == 5 and lines[-1].endswith(", 3 failures")
+    code, out, _ = run_cli(capsys, "verify", "identities", "--n-max", "2")
+    assert code == EXIT_VERIFY_FAILED
+    assert out.splitlines()[1:3] == ["F,0,1,,1,3", "F,0,2,,3,9"]
+
+
+def test_only_verify_oracle_sieves(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sieve_cap": 1}))
+    for mode in ("bounds", "identities"):
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", mode, "--n-max", "8")
+        assert code == EXIT_OK, err
+        assert out.endswith(", 0 failures\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "verify", "oracle", "--n-max", "8")
+    assert code == EXIT_CAPACITY
+    assert "exceeds capacity cap" in err
+
+
+def test_verify_needs_a_positive_n_max(capsys, tmp_path):
+    for mode in ("oracle", "bounds", "identities"):
+        for n_max in ("0", "-3"):
+            code, out, err = run_cli(capsys, "verify", mode, "--n-max", n_max)
+            assert (code, out) == (EXIT_USAGE, ""), (mode, n_max)
+            assert f"n_max must be >= 1, got {n_max}" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_max": 0}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "bounds")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "n_max must be >= 1, got 0" in err
 
 
 def test_capacity_exit_code(capsys, tmp_path):

@@ -10,6 +10,7 @@ from rpsets.counting import (
     Family,
     _check_cell,
     _mertens,
+    count_plane,
     f_interval,
     fk_interval,
     phi_interval,
@@ -234,3 +235,40 @@ def test_count_dispatch_matches_functions(capsys):
     ):
         assert main(["compute", *argv, "--m", "2", "--n", "6"]) == 0, argv
         assert capsys.readouterr().out == f"{expected}\n", argv
+
+
+def plane_matches_kernel(plane, m, k):
+    n = plane.n
+    return (
+        plane.f[m] == f_interval(m, n, TABLE)
+        and plane.phi[m] == phi_interval(m, n, TABLE)
+        and plane.fk[m][k] == fk_interval(m, n, k, TABLE)
+        and plane.phik[m][k] == phik_interval(m, n, k, TABLE)
+    )
+
+
+def test_plane_equals_the_kernel_on_every_cell():
+    for n in range(1, 65):
+        plane = count_plane(n)
+        for m in range(n):
+            assert len(plane.fk[m]) == len(plane.phik[m]) == n - m + 1
+            assert plane.fk[m][0] == plane.phik[m][0] == 0
+            assert sum(plane.fk[m]) == plane.f[m], (m, n)
+            assert sum(plane.phik[m]) == plane.phi[m], (m, n)
+            for k in range(1, n - m + 1):
+                assert plane_matches_kernel(plane, m, k), (m, n, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 500), st.data())
+def test_plane_cells_match_the_kernel(n, data):
+    plane = count_plane(n)
+    for _ in range(5):
+        m = data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(1, n - m))
+        assert plane_matches_kernel(plane, m, k), (m, n, k)
+
+
+def test_plane_validation():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        count_plane(0)

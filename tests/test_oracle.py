@@ -1,10 +1,35 @@
+from math import gcd
+
 import pytest
 
 from rpsets.counting import Family, f_interval
-from rpsets.oracle import HARD_WIDTH_CAP, oracle_count, oracle_gcd_class_counts
+from rpsets.oracle import HARD_WIDTH_CAP, _profile, oracle_count, oracle_gcd_class_counts
 from rpsets.sieve import build_sieve
 
 TABLE = build_sieve(64)
+
+
+def enumerated_profile(m, n):
+    """(gcd, cardinality) -> count, by visiting all 2^(n-m) - 1 nonempty
+    subsets of {m+1, ..., n} as bit masks; bit i stands for m+1+i, and a
+    mask's gcd is that of the mask without its lowest bit and that bit's
+    element."""
+    gcds = [0] * (1 << (n - m))
+    profile = {}
+    for mask in range(1, 1 << (n - m)):
+        low = mask & -mask
+        g = gcds[mask] = gcd(gcds[mask ^ low], m + low.bit_length())
+        key = (g, mask.bit_count())
+        profile[key] = profile.get(key, 0) + 1
+    return profile
+
+
+def test_profile_equals_the_enumeration():
+    intervals = [(m, n) for n in range(1, 17) for m in range(n)]
+    intervals += [(m, m + 16) for m in (30, 209, 4080, 720720 - 8)]
+    intervals += [(m, m + w) for m in (97, 1000) for w in range(1, 16)]
+    for m, n in intervals:
+        assert _profile(m, n) == enumerated_profile(m, n), (m, n)
 
 
 def test_oracle_frozen_values():
