@@ -10,15 +10,14 @@ The checks take the exact count, and the partition sums a count function
 the *_interval kernel or the planes of counting.count_plane.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import _check_interval, _check_k
 from .exactmath import binomial
 from .sieve import smallest_prime_divisor
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Exact gap record for one theorem instance.
 
     tight_upper_holds is observational only: for T2 it tracks a strictly

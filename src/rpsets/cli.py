@@ -7,9 +7,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from . import counting
 from .bounds import (
@@ -34,7 +33,7 @@ from .counting import (
     phik_interval,
 )
 from .exactmath import binomial, ceil_cbrt, decimal_string
-from .oracle import _check_max_width, oracle_count
+from .oracle import DEFAULT_WIDTH_CAP, _check_max_width, oracle_count
 from .sieve import (
     CapacityError,
     DEFAULT_LIMIT_CAP,
@@ -59,42 +58,6 @@ class _Parser(argparse.ArgumentParser):
     # verification failures here, so route usage problems through UsageError.
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class TableSpec:
-    """One sweep request: which families, over which inclusive ranges."""
-
-    families: tuple[Family, ...]
-    m_range: tuple[int, int]
-    n_range: tuple[int, int]
-    k_range: tuple[int, int] | None
-    format: str = "json"
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.families:
-            raise UsageError("at least one family required")
-        if self.format not in ("json", "csv"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise UsageError(f"out must be a path string, got {self.output_path!r}")
-        for name, (lo, hi) in (("m", self.m_range), ("n", self.n_range)):
-            if hi < lo:
-                raise UsageError(f"empty {name} range {lo}..{hi}")
-        if self.m_range[0] < 0:
-            raise UsageError(f"m must be >= 0, got {self.m_range[0]}")
-        if self.n_range[0] < 1:
-            raise UsageError(f"n must be >= 1, got {self.n_range[0]}")
-        needs_k = any(fam in K_FAMILIES for fam in self.families)
-        if needs_k and self.k_range is None:
-            raise UsageError("families FK and PHIK require --k")
-        if self.k_range is not None:
-            lo, hi = self.k_range
-            if hi < lo:
-                raise UsageError(f"empty k range {lo}..{hi}")
-            if lo < 1:
-                raise UsageError(f"k must be >= 1, got {lo}")
 
 
 def parse_range(text: str, name: str) -> tuple[int, int]:
@@ -127,33 +90,30 @@ def parse_families(text: str) -> tuple[Family, ...]:
     return tuple(sorted(chosen, key=order.index))
 
 
-def build_table_records(spec: TableSpec, table: SieveTable | None) -> list[dict]:
-    """Rows in deterministic order: family, then m, then n, then k, ascending.
+def build_table_records(
+    families: tuple[Family, ...], m_range: tuple[int, int], n_range: tuple[int, int],
+    k_range: tuple[int, int] | None, table: SieveTable | None,
+) -> Iterator[tuple[str, int, int, int | None, str]]:
+    """(family, m, n, k, value) rows, value in decimal and k None for F and
+    PHI, in deterministic order: family, then m, then n, then k, ascending.
 
-    Cells with m >= n are skipped, so an empty intersection yields no rows.
+    The rows are made as they are read. Cells with m >= n are skipped, so an
+    empty intersection yields no rows.
     """
-    records = []
-    m_lo, m_hi = spec.m_range
-    n_lo, n_hi = spec.n_range
-    for family in spec.families:
+    m_lo, m_hi = m_range
+    n_lo, n_hi = n_range
+    for family in families:
         name = family.value
         # looked up at call time, so a replaced counting function is the one
         # the table uses
         counter = getattr(counting, f"{name.lower()}_interval")
         takes_k = family in K_FAMILIES
-        if takes_k:
-            assert spec.k_range is not None
-            k_values: range | tuple[None] = range(spec.k_range[0], spec.k_range[1] + 1)
-        else:
-            k_values = (None,)
+        k_values = range(k_range[0], k_range[1] + 1) if takes_k else (None,)
         for m in range(m_lo, m_hi + 1):
             for n in range(max(n_lo, m + 1), n_hi + 1):
                 for k in k_values:
                     value = counter(m, n, k, table) if takes_k else counter(m, n, table)
-                    records.append(
-                        {"family": name, "m": m, "n": n, "k": k, "value": decimal_string(value)}
-                    )
-    return records
+                    yield name, m, n, k, decimal_string(value)
 
 
 _COLUMNS = ("family", "m", "n", "k", "value")
@@ -164,30 +124,23 @@ _JSON_RECORD = (
 )
 
 
-def render_records(records: list[dict], fmt: str) -> str:
-    """The rows as CSV, or as the bytes of json.dumps(records, indent=2)
-    plus a newline. That call runs the pure-Python encoder, so the JSON is
-    filled into a per-row template instead."""
+def render_records(rows: Iterable[tuple], fmt: str) -> str:
+    """The (family, m, n, k, value) rows as CSV, or as the bytes of
+    json.dumps of their dicts with indent=2, plus a newline. That call runs
+    the pure-Python encoder, so the JSON is filled into a per-row template
+    instead."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")  # None becomes an empty cell
         writer.writerow(_COLUMNS)
-        writer.writerows(map(itemgetter(*_COLUMNS), records))
+        writer.writerows(rows)
         return buf.getvalue()
-    if not records:
-        return "[]\n"
-    rows = ",\n".join(
-        _JSON_RECORD
-        % (
-            encode_basestring_ascii(rec["family"]),
-            rec["m"],
-            rec["n"],
-            "null" if rec["k"] is None else rec["k"],
-            encode_basestring_ascii(rec["value"]),
-        )
-        for rec in records
+    esc = encode_basestring_ascii
+    body = ",\n".join(
+        _JSON_RECORD % (esc(family), m, n, "null" if k is None else k, esc(value))
+        for family, m, n, k, value in rows
     )
-    return "[\n" + rows + "\n]\n"
+    return "[\n" + body + "\n]\n" if body else "[]\n"
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -247,21 +200,31 @@ def _run_compute(args, cfg: dict) -> int:
 
 
 def _run_table(args, cfg: dict) -> int:
+    families = parse_families(args.families)
+    m_range = parse_range(args.m, "m")
+    n_range = parse_range(args.n, "n")
+    k_range = parse_range(args.k, "k") if args.k is not None else None
     fmt = args.format if args.format is not None else cfg.get("format", "json")
     out = args.out if args.out is not None else cfg.get("out")
-    spec = TableSpec(
-        families=parse_families(args.families),
-        m_range=parse_range(args.m, "m"),
-        n_range=parse_range(args.n, "n"),
-        k_range=parse_range(args.k, "k") if args.k is not None else None,
-        format=fmt,
-        output_path=out,
-    )
+    if not families:
+        raise UsageError("at least one family required")
+    if fmt not in ("json", "csv"):
+        raise UsageError(f"unknown format {fmt!r}")
+    if out is not None and not isinstance(out, str):
+        raise UsageError(f"out must be a path string, got {out!r}")
+    if m_range[0] < 0:
+        raise UsageError(f"m must be >= 0, got {m_range[0]}")
+    if n_range[0] < 1:
+        raise UsageError(f"n must be >= 1, got {n_range[0]}")
+    if k_range is None and any(family in K_FAMILIES for family in families):
+        raise UsageError("families FK and PHIK require --k")
+    if k_range is not None and k_range[0] < 1:
+        raise UsageError(f"k must be >= 1, got {k_range[0]}")
     table = None
-    if any(family in SIEVED_FAMILIES for family in spec.families):
-        table = build_sieve(spec.n_range[1], cap=_sieve_cap(cfg))
-    records = build_table_records(spec, table)
-    _emit(render_records(records, spec.format), spec.output_path)
+    if any(family in SIEVED_FAMILIES for family in families):
+        table = build_sieve(n_range[1], cap=_sieve_cap(cfg))
+    rows = build_table_records(families, m_range, n_range, k_range, table)
+    _emit(render_records(rows, fmt), out)
     return EXIT_OK
 
 
@@ -300,7 +263,7 @@ def _verify(n_max: int, check, summary) -> int:
 def _verify_oracle(args, cfg: dict) -> int:
     """The kernel that compute and table use, against the oracle."""
     n_max = _resolve_n_max(args, cfg, 16)
-    width_cap = _resolve_int(args, cfg, "width_cap", 24)
+    width_cap = _resolve_int(args, cfg, "width_cap", DEFAULT_WIDTH_CAP)
     try:
         _check_max_width(width_cap)
     except ValueError as exc:
@@ -368,7 +331,8 @@ def _verify_identities(args, cfg: dict) -> int:
     interval read from the planes built so far."""
     n_max = _resolve_n_max(args, cfg, 60)
     k_max = _resolve_int(args, cfg, "k_max", 10)
-    # f_rows[b][a] = f(a, b) and fk_rows[b][a][k] = fk(a, b, k); b starts at 1
+    # f_rows[b][a] = f(a, b) and fk_rows[b][a][k] = fk(a, b, k), b from 1 and
+    # k only up to k_max, as no larger k is read
     f_rows: list[list[int]] = [[]]
     fk_rows: list[list[list[int]]] = [[]]
 
@@ -385,7 +349,7 @@ def _verify_identities(args, cfg: dict) -> int:
     def check(n, failures):
         plane = count_plane(n)
         f_rows.append(plane.f)
-        fk_rows.append(plane.fk)
+        fk_rows.append([row[: k_max + 1] for row in plane.fk])
         checked = 0
         for m in range(n):
             # a failed identity is rare, so only then is its sum computed again

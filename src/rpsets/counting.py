@@ -88,12 +88,15 @@ def _mertens(x: int, table: SieveTable, memo: dict[int, int]) -> int:
         return table.mertens[x]
     value = memo.get(x)
     if value is None:
+        # most quotients fall inside the table: read those without a call
+        limit, mertens = table.limit, table.mertens
         value = 1
         d = 2
         while d <= x:
             q = x // d
             end = x // q
-            value -= (end - d + 1) * _mertens(q, table, memo)
+            m_q = mertens[q] if q <= limit else _mertens(q, table, memo)
+            value -= (end - d + 1) * m_q
             d = end + 1
         memo[x] = value
     return value

@@ -8,6 +8,7 @@ from math import gcd
 
 from .counting import Family, _check_cell, _check_interval
 
+DEFAULT_WIDTH_CAP = 24
 HARD_WIDTH_CAP = 30
 
 
@@ -44,7 +45,7 @@ def _profile(m: int, n: int) -> dict[tuple[int, int], int]:
 
 
 def oracle_count(
-    family: Family, m: int, n: int, k: int | None = None, max_width: int = 24
+    family: Family, m: int, n: int, k: int | None = None, max_width: int = DEFAULT_WIDTH_CAP
 ) -> int:
     """Count straight from the definitions, by the gcd profile of the
     interval's subsets; k is the cardinality for FK and PHIK."""
@@ -63,7 +64,9 @@ def oracle_count(
     )
 
 
-def oracle_gcd_class_counts(m: int, n: int, max_width: int = 24) -> dict[int, int]:
+def oracle_gcd_class_counts(
+    m: int, n: int, max_width: int = DEFAULT_WIDTH_CAP
+) -> dict[int, int]:
     """Subset count per exact gcd value; the values sum to 2**(n-m) - 1.
 
     Only classes that actually occur appear as keys.

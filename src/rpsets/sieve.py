@@ -1,8 +1,8 @@
 """Mobius and Mertens tables from a linear sieve, and factorization of single
 integers by trial division."""
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 DEFAULT_LIMIT_CAP = 10**7
 
@@ -11,8 +11,7 @@ class CapacityError(Exception):
     """Requested sieve limit exceeds the configured memory cap."""
 
 
-@dataclass(frozen=True)
-class SieveTable:
+class SieveTable(NamedTuple):
     """Read-only Mobius and Mertens tables for 1..limit.
 
     Lists are indexed directly by n: mobius[n] is mu(n) and mertens[n] is

@@ -14,7 +14,6 @@ from rpsets.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
-    TableSpec,
     UsageError,
     build_table_records,
     main,
@@ -148,17 +147,30 @@ def test_values_above_4300_digits_print(capsys):
 
 
 def test_json_rendering_matches_json_dumps():
-    def row(family, m, n, k, value):
-        return {"family": family, "m": m, "n": n, "k": k, "value": value}
-
     tables = [
         [],
-        [row("F", 0, n, None, str(2**n - 1)) for n in range(1, 4)],
-        [row("FK", 1, 5, 2, "6"), row("PHIK", 0, 6, 1, "2"), row("FK", 0, 3, 3, "0")],
-        [row("F", 0, 15_000, None, "7" * 4400)],
+        [("F", 0, n, None, str(2**n - 1)) for n in range(1, 4)],
+        [("FK", 1, 5, 2, "6"), ("PHIK", 0, 6, 1, "2"), ("FK", 0, 3, 3, "0")],
+        [("F", 0, 15_000, None, "7" * 4400)],
     ]
-    for records in tables:
-        assert render_records(records, "json") == json.dumps(records, indent=2) + "\n"
+    for rows in tables:
+        records = [dict(zip(cli._COLUMNS, row)) for row in rows]
+        assert render_records(rows, "json") == json.dumps(records, indent=2) + "\n"
+
+
+def test_table_rows_are_made_as_they_are_read(monkeypatch):
+    calls = 0
+    real = counting.f_interval
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(counting, "f_interval", counted)
+    rows = build_table_records((Family.F,), (0, 0), (1, 1000), None, build_sieve(1000))
+    assert next(rows) == ("F", 0, 1, None, "1")
+    assert calls == 1
 
 
 def test_table_json_values(capsys):
@@ -253,6 +265,15 @@ def test_table_usage_errors(capsys):
     assert "unknown family" in err
     code, _, err = run_cli(capsys, "table", "--families", "F", "--m", "zz", "--n", "1..4")
     assert code == EXIT_USAGE
+    cases = [
+        (("--m", "-1", "--n", "1..4"), "m must be >= 0, got -1"),
+        (("--m", "0", "--n", "0..4"), "n must be >= 1, got 0"),
+        (("--m", "0", "--n", "1..4", "--k", "0..2"), "k must be >= 1, got 0"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, "table", "--families", "F", *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert message in err, argv
 
 
 def test_unwritable_output_path(capsys, tmp_path):
@@ -282,6 +303,14 @@ def test_verify_identities_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "identities", "--n-max", "20")
     assert code == EXIT_OK
     assert "0 failures" in out
+    for k_max, checked in (("3", 781), ("40", 1750)):
+        code, out, _ = run_cli(
+            capsys, "verify", "identities", "--n-max", "20", "--k-max", k_max
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            f"verify identities: checked {checked} identities, 0 failures"
+        )
 
 
 def test_verify_oracle_skips_wide_intervals(capsys):
@@ -429,16 +458,21 @@ def test_parse_families_dedupes_and_orders():
         parse_families("F,NOPE")
 
 
-def test_table_spec_validation():
-    with pytest.raises(UsageError):
-        TableSpec((Family.FK,), (0, 0), (1, 4), None)
-    with pytest.raises(UsageError):
-        TableSpec((Family.F,), (0, 0), (1, 4), None, format="xml")
-    with pytest.raises(UsageError):
-        TableSpec((), (0, 0), (1, 4), None)
-    spec = TableSpec((Family.F,), (0, 0), (1, 4), None, format="csv")
+def test_table_spec_validation(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    cases = [
+        (("table", "--families", "FK", "--m", "0", "--n", "1..4"), "require --k"),
+        (("--config", str(cfg), "table", "--families", "F", "--m", "0", "--n", "1..4"),
+         "unknown format 'xml'"),
+        (("table", "--families", ",", "--m", "0", "--n", "1..4"), "at least one family"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert message in err, argv
     table = build_sieve(4)
-    assert len(build_table_records(spec, table)) == 4
+    assert len(list(build_table_records((Family.F,), (0, 0), (1, 4), None, table))) == 4
     assert render_records([], "json").strip() == "[]"
 
 
