@@ -1,5 +1,5 @@
 """Exact counting of relatively prime subsets of integer intervals
-{m+1, ..., n}, with a brute-force oracle and checks of the proven bounds."""
+{m+1, ..., n}, with a gcd-state DP oracle and checks of the proven bounds."""
 
 from .bounds import (
     BoundReport,

@@ -1,6 +1,6 @@
 """Command line front end: single exact values, sweep tables, and
-verification campaigns (closed forms vs brute force, theorem bounds,
-partition identities)."""
+verification campaigns (closed forms vs the gcd-state oracle, theorem
+bounds, partition identities)."""
 
 import argparse
 import csv
@@ -233,11 +233,11 @@ def _csv_cell(value) -> str:
     return "" if value is None else value if isinstance(value, str) else decimal_string(value)
 
 
-def _resolve_n_max(args, cfg: dict, fallback: int) -> int:
-    n_max = _resolve_int(args, cfg, "n_max", fallback)
-    if n_max < 1:
-        raise UsageError(f"n_max must be >= 1, got {n_max}")
-    return n_max
+def _resolve_positive(args, cfg: dict, name: str, fallback: int) -> int:
+    value = _resolve_int(args, cfg, name, fallback)
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _verify(n_max: int, check, summary) -> int:
@@ -262,20 +262,16 @@ def _verify(n_max: int, check, summary) -> int:
 
 def _verify_oracle(args, cfg: dict) -> int:
     """The kernel that compute and table use, against the oracle."""
-    n_max = _resolve_n_max(args, cfg, 16)
+    n_max = _resolve_positive(args, cfg, "n_max", 16)
     width_cap = _resolve_int(args, cfg, "width_cap", DEFAULT_WIDTH_CAP)
     try:
         _check_max_width(width_cap)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     table = build_sieve(n_max, cap=_sieve_cap(cfg))
-    intervals = skipped = 0
 
     def check(n, failures):
-        nonlocal intervals, skipped
-        low = max(0, n - width_cap)  # wider intervals are skipped
-        skipped += low
-        intervals += n - low
+        low = max(0, n - width_cap)
         cells = 0
         for m in range(low, n):
             found = [(Family.F, None, f_interval(m, n, table)),
@@ -291,6 +287,10 @@ def _verify_oracle(args, cfg: dict) -> int:
         return cells
 
     def summary(cells, failed):
+        # each n skips its n - width_cap intervals wider than width_cap
+        over = max(0, n_max - width_cap)
+        skipped = over * (over + 1) // 2
+        intervals = n_max * (n_max + 1) // 2 - skipped
         line = (
             f"verify oracle: checked {intervals} intervals x 4 families"
             f" ({cells} cells), {failed} failures"
@@ -323,14 +323,14 @@ def _verify_bounds(args, cfg: dict) -> int:
         return len(reports)
 
     summary = "verify bounds: checked {} bound reports, {} failures".format
-    return _verify(_resolve_n_max(args, cfg, 100), check, summary)
+    return _verify(_resolve_positive(args, cfg, "n_max", 100), check, summary)
 
 
 def _verify_identities(args, cfg: dict) -> int:
     """The gcd-partition identities, with the counts of every smaller
     interval read from the planes built so far."""
-    n_max = _resolve_n_max(args, cfg, 60)
-    k_max = _resolve_int(args, cfg, "k_max", 10)
+    n_max = _resolve_positive(args, cfg, "n_max", 60)
+    k_max = _resolve_positive(args, cfg, "k_max", 10)
     # f_rows[b][a] = f(a, b) and fk_rows[b][a][k] = fk(a, b, k), b from 1 and
     # k only up to k_max, as no larger k is read
     f_rows: list[list[int]] = [[]]

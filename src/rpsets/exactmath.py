@@ -9,9 +9,7 @@ int-to-decimal conversion, on subquadratic paths.
 import math
 from itertools import compress
 
-# _prime_flags[i] is 1 when i is prime; grown on demand by _prime_flags_upto,
-# so importing the module sieves nothing.
-_prime_flags = bytearray()
+from .sieve import _prime_flags_upto
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,22 +31,6 @@ def binomial(n: int, k: int) -> int:
     if j * j >= 256 * n:
         return _binomial_by_factors(n, j)
     return math.comb(n, k)
-
-
-def _prime_flags_upto(n: int) -> bytearray:
-    """Prime flags for 0..n at least, from a sieve of Eratosthenes that is
-    rebuilt at least twice as long whenever it is too short."""
-    global _prime_flags
-    flags = _prime_flags
-    if len(flags) <= n:
-        size = max(n + 1, 2 * len(flags))
-        flags = bytearray([1]) * size
-        flags[:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if flags[p]:
-                flags[p * p :: p] = bytes(len(range(p * p, size, p)))
-        _prime_flags = flags
-    return flags
 
 
 def _binomial_by_factors(n: int, j: int) -> int:

@@ -1,10 +1,17 @@
-"""Mobius and Mertens tables from a linear sieve, and factorization of single
-integers by trial division."""
+"""Mobius and Mertens tables and the prime flags they come from, and
+factorization of single integers by trial division."""
 
-from itertools import accumulate
+import math
+from itertools import accumulate, compress
+from operator import neg
 from typing import NamedTuple
 
 DEFAULT_LIMIT_CAP = 10**7
+
+# _prime_flags[i] is 1 when i is prime; grown on demand by _prime_flags_upto,
+# so importing the module sieves nothing. build_sieve and
+# exactmath.binomial share it.
+_prime_flags = bytearray()
 
 
 class CapacityError(Exception):
@@ -25,34 +32,39 @@ class SieveTable(NamedTuple):
     mertens: list[int]
 
 
-def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
-    """Build both tables in one linear pass.
+def _prime_flags_upto(n: int) -> bytearray:
+    """Prime flags for 0..n at least, from a sieve of Eratosthenes that is
+    rebuilt at least twice as long whenever it is too short."""
+    global _prime_flags
+    flags = _prime_flags
+    if len(flags) <= n:
+        size = max(n + 1, 2 * len(flags))
+        flags = bytearray([1]) * size
+        flags[:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytes(len(range(p * p, size, p)))
+        _prime_flags = flags
+    return flags
 
-    Each composite is marked exactly once, through its smallest prime
-    factor, so the loop is O(limit) rather than O(limit log log limit).
+
+def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
+    """Build both tables from the shared prime flags.
+
+    mu starts at 1 on 1..limit; each prime p flips the sign on the multiples
+    of p and zeroes the multiples of p*p, which leaves mu(n) = (-1)^r for
+    n squarefree with r prime factors and 0 otherwise.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
     if limit > cap:
         raise CapacityError(f"sieve limit {limit} exceeds capacity cap {cap}")
-    mobius = [0] * (limit + 1)
-    mobius[1] = 1
-    composite = bytearray(limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if not composite[i]:
-            primes.append(i)
-            mobius[i] = -1
-        mu = mobius[i]
-        for p in primes:
-            c = i * p
-            if c > limit:
-                break
-            composite[c] = 1
-            if i % p == 0:
-                # p already divides i, so c is not squarefree: mobius[c] stays 0
-                break
-            mobius[c] = -mu
+    mobius = [0] + [1] * limit
+    flags = _prime_flags_upto(limit)
+    for p in compress(range(2, limit + 1), flags[2 : limit + 1]):
+        mobius[p::p] = map(neg, mobius[p::p])
+        if p * p <= limit:
+            mobius[p * p :: p * p] = [0] * len(range(p * p, limit + 1, p * p))
     return SieveTable(limit=limit, mobius=mobius, mertens=list(accumulate(mobius)))
 
 

@@ -288,9 +288,9 @@ def test_unwritable_output_path(capsys, tmp_path):
 
 def test_verify_oracle_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "oracle", "--n-max", "10")
-    assert code == EXIT_OK
-    assert "checked 55 intervals x 4 families" in out
-    assert "0 failures" in out
+    assert (code, out) == (
+        EXIT_OK, "verify oracle: checked 55 intervals x 4 families (550 cells), 0 failures\n"
+    )
 
 
 def test_verify_bounds_small(capsys):
@@ -314,11 +314,17 @@ def test_verify_identities_small(capsys):
 
 
 def test_verify_oracle_skips_wide_intervals(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "oracle", "--n-max", "12", "--width-cap", "6"
-    )
-    assert code == EXIT_OK
-    assert "skipped" in out
+    for n_max, width_cap, line in (
+        ("12", "6", "checked 57 intervals x 4 families (478 cells), 0 failures;"
+                    " skipped 21 intervals wider than 6"),
+        ("3", "1", "checked 3 intervals x 4 families (12 cells), 0 failures;"
+                   " skipped 3 intervals wider than 1"),
+        ("7", "7", "checked 28 intervals x 4 families (224 cells), 0 failures"),
+    ):
+        code, out, _ = run_cli(
+            capsys, "verify", "oracle", "--n-max", n_max, "--width-cap", width_cap
+        )
+        assert (code, out) == (EXIT_OK, f"verify oracle: {line}\n")
     code, _, err = run_cli(capsys, "verify", "oracle", "--n-max", "4", "--width-cap", "31")
     assert code == EXIT_USAGE
     assert "max_width must be in 1..30" in err
@@ -399,11 +405,17 @@ def test_verify_needs_a_positive_n_max(capsys, tmp_path):
             code, out, err = run_cli(capsys, "verify", mode, "--n-max", n_max)
             assert (code, out) == (EXIT_USAGE, ""), (mode, n_max)
             assert f"n_max must be >= 1, got {n_max}" in err
+    for k_max in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "verify", "identities", "--n-max", "12", "--k-max", k_max
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: k_max must be >= 1, got {k_max}\n")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_max": 0}))
-    code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "bounds")
-    assert (code, out) == (EXIT_USAGE, "")
-    assert "n_max must be >= 1, got 0" in err
+    for key, mode in (("n_max", "bounds"), ("k_max", "identities")):
+        cfg.write_text(json.dumps({key: 0}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", mode)
+        assert (code, out) == (EXIT_USAGE, ""), key
+        assert f"{key} must be >= 1, got 0" in err
 
 
 def test_capacity_exit_code(capsys, tmp_path):

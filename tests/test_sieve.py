@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from rpsets import sieve
+from rpsets.exactmath import binomial
 from rpsets.sieve import (
     CapacityError,
     build_sieve,
@@ -56,9 +58,35 @@ def test_mobius_frozen_values():
     assert TABLE.mobius[30] == -1
 
 
-def test_mobius_against_trial_division():
-    for n in range(1, LIMIT + 1):
-        assert TABLE.mobius[n] == mobius_by_trial_division(n), n
+def tables_from_every_flag_state(monkeypatch):
+    """build_sieve(LIMIT) from cold prime flags, from flags that a factored
+    binomial grew far past LIMIT, and from flags shorter than LIMIT."""
+    monkeypatch.setattr(sieve, "_prime_flags", bytearray())
+    yield "cold", build_sieve(LIMIT)
+    binomial(100_000, 50_000)
+    assert len(sieve._prime_flags) > 50 * LIMIT
+    yield "grown", build_sieve(LIMIT)
+    monkeypatch.setattr(sieve, "_prime_flags", bytearray())
+    build_sieve(LIMIT // 8)
+    assert len(sieve._prime_flags) <= LIMIT
+    yield "short", build_sieve(LIMIT)
+
+
+def test_mobius_against_trial_division(monkeypatch):
+    expected = [0] + [mobius_by_trial_division(n) for n in range(1, LIMIT + 1)]
+    assert TABLE.mobius == expected
+    for state, table in tables_from_every_flag_state(monkeypatch):
+        assert table == TABLE, state
+        assert table.mobius == expected, state
+
+
+def test_binomial_after_a_small_sieve(monkeypatch):
+    # a small build_sieve leaves short flags that the factored binomial
+    # (j*j >= 256*n in each of these) has to grow
+    monkeypatch.setattr(sieve, "_prime_flags", bytearray())
+    build_sieve(64)
+    for n, j in ((3000, 1500), (40_000, 20_000), (100_000, 50_000)):
+        assert binomial(n, j) == math.comb(n, j), (n, j)
 
 
 def test_mobius_divisor_sum_collapses():
