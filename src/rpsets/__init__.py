@@ -22,7 +22,7 @@ from .counting import (
     phik_interval,
 )
 from .exactmath import binomial
-from .oracle import HARD_WIDTH_CAP, oracle_count, oracle_gcd_class_counts
+from .oracle import HARD_WIDTH_CAP, oracle_count
 from .sieve import (
     CapacityError,
     DEFAULT_LIMIT_CAP,
@@ -54,7 +54,6 @@ __all__ = [
     "f_interval",
     "fk_interval",
     "oracle_count",
-    "oracle_gcd_class_counts",
     "partition_identity_f",
     "partition_identity_fk",
     "partition_sum_f",

@@ -80,10 +80,12 @@ def check_phik(m: int, n: int, k: int, phik: int, p: int | None = None) -> Bound
     return BoundReport("T4", m, n, k, gap, upper, gap >= 0, gap <= upper)
 
 
-def _partition_sum(m: int, n: int, count) -> int:
-    """Sum over d of count(floor(m/d), floor(n/d)), over the d with
-    floor(n/d) > floor(m/d). Both quotients are constant on blocks of
-    consecutive d, so count is called once per block, O(sqrt(n)) times."""
+def partition_sum_f(m: int, n: int, f) -> int:
+    """Sum over d of f(floor(m/d), floor(n/d)), the gcd-class decomposition
+    of all nonempty subsets of {m+1, ..., n}; f(a, b) counts the relatively
+    prime subsets of {a+1, ..., b}, and only the d with floor(n/d) >
+    floor(m/d) count. Both quotients are constant on blocks of consecutive
+    d, so f is called once per block, O(sqrt(n)) times."""
     _check_interval(m, n)
     total = 0
     d = 1
@@ -91,16 +93,9 @@ def _partition_sum(m: int, n: int, count) -> int:
         md, nd = m // d, n // d
         end = min(n // nd, m // md if md else n)
         if nd > md:
-            total += (end - d + 1) * count(md, nd)
+            total += (end - d + 1) * f(md, nd)
         d = end + 1
     return total
-
-
-def partition_sum_f(m: int, n: int, f) -> int:
-    """Sum over d of f(floor(m/d), floor(n/d)), the gcd-class decomposition
-    of all nonempty subsets of {m+1, ..., n}; f(a, b) counts the relatively
-    prime subsets of {a+1, ..., b}."""
-    return _partition_sum(m, n, f)
 
 
 def partition_identity_f(m: int, n: int, f) -> bool:
@@ -112,7 +107,7 @@ def partition_sum_fk(m: int, n: int, k: int, fk) -> int:
     """Cardinality-k slice of partition_sum_f; fk(a, b) counts the
     relatively prime k-element subsets of {a+1, ..., b}."""
     _check_k(k)
-    return _partition_sum(m, n, fk)
+    return partition_sum_f(m, n, fk)
 
 
 def partition_identity_fk(m: int, n: int, k: int, fk) -> bool:

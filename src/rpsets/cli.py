@@ -48,6 +48,8 @@ EXIT_VERIFY_FAILED = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
+WORK_CAP = 10**7  # rows of a table, items of verify bounds or identities; no sieve bounds them
+
 
 class UsageError(Exception):
     pass
@@ -114,6 +116,20 @@ def build_table_records(
                 for k in k_values:
                     value = counter(m, n, k, table) if takes_k else counter(m, n, table)
                     yield name, m, n, k, decimal_string(value)
+
+
+def _table_rows(
+    families: tuple[Family, ...], m_range: tuple[int, int], n_range: tuple[int, int],
+    k_range: tuple[int, int] | None,
+) -> int:
+    """How many rows build_table_records yields, without computing any.
+    C(b - a + 1, 2) counts the cells a <= m < n <= b, and the grid's cells
+    follow from four such counts."""
+    (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
+    cells = (binomial(n_hi - m_lo + 1, 2) - binomial(n_hi - m_hi, 2)
+             - binomial(n_lo - m_lo, 2) + binomial(n_lo - m_hi - 1, 2))
+    ks = k_range[1] - k_range[0] + 1 if k_range is not None else 0
+    return cells * sum(ks if family in K_FAMILIES else 1 for family in families)
 
 
 _COLUMNS = ("family", "m", "n", "k", "value")
@@ -199,6 +215,11 @@ def _run_compute(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _check_work(items: int, unit: str) -> None:
+    if items > WORK_CAP:
+        raise CapacityError(f"{items} {unit} exceed work cap {WORK_CAP}")
+
+
 def _run_table(args, cfg: dict) -> int:
     families = parse_families(args.families)
     m_range = parse_range(args.m, "m")
@@ -220,6 +241,7 @@ def _run_table(args, cfg: dict) -> int:
         raise UsageError("families FK and PHIK require --k")
     if k_range is not None and k_range[0] < 1:
         raise UsageError(f"k must be >= 1, got {k_range[0]}")
+    _check_work(_table_rows(families, m_range, n_range, k_range), "table rows")
     table = None
     if any(family in SIEVED_FAMILIES for family in families):
         table = build_sieve(n_range[1], cap=_sieve_cap(cfg))
@@ -322,8 +344,11 @@ def _verify_bounds(args, cfg: dict) -> int:
                 failures.append((r.theorem, r.m, n, r.k, f"0..{decimal_string(r.upper)}", r.gap))
         return len(reports)
 
+    n_max = _resolve_positive(args, cfg, "n_max", 100)
+    # n T1 and C(n+1, 2) T2 reports per n, as many T3 and T4 from n = 2
+    _check_work(2 * (binomial(n_max + 1, 2) + binomial(n_max + 2, 3)) - 2, "bound reports")
     summary = "verify bounds: checked {} bound reports, {} failures".format
-    return _verify(_resolve_positive(args, cfg, "n_max", 100), check, summary)
+    return _verify(n_max, check, summary)
 
 
 def _verify_identities(args, cfg: dict) -> int:
@@ -331,6 +356,9 @@ def _verify_identities(args, cfg: dict) -> int:
     interval read from the planes built so far."""
     n_max = _resolve_positive(args, cfg, "n_max", 60)
     k_max = _resolve_positive(args, cfg, "k_max", 10)
+    # one F identity per (m, n), and one FK identity per k <= min(n - m, k_max)
+    fk_count = binomial(n_max + 2, 3) - binomial(n_max - k_max + 2, 3)
+    _check_work(binomial(n_max + 1, 2) + fk_count, "identities")
     # f_rows[b][a] = f(a, b) and fk_rows[b][a][k] = fk(a, b, k), b from 1 and
     # k only up to k_max, as no larger k is read
     f_rows: list[list[int]] = [[]]
@@ -428,15 +456,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _load_config(args.config)
         return args.run(args, cfg)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # a bug in rpsets, not a user mistake
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -64,8 +64,9 @@ def _check_cell(family: Family, m: int, n: int, k: int | None) -> None:
         raise ValueError(f"family {family.value} does not take k")
 
 
-def _mobius_sum(m: int, n: int, weights: dict[int, int], g) -> int:
-    """Sum of weight * g(width) over a width -> summed-mu map.
+def _mobius_sum(m: int, n: int, weights: dict[int, int], k: int | None) -> int:
+    """Sum of weight * g(width) over a width -> summed-mu map, with
+    g(w) = 2^w - 1 when k is None and g(w) = C(w, k) otherwise.
 
     Widths are taken in ascending order, so the (possibly huge) accumulator
     stays small while most of the terms are added.
@@ -74,7 +75,7 @@ def _mobius_sum(m: int, n: int, weights: dict[int, int], g) -> int:
     for width in sorted(weights):
         weight = weights[width]
         if weight:
-            total += weight * g(width)
+            total += weight * ((1 << width) - 1 if k is None else binomial(width, k))
     if total < 0:
         raise RuntimeError(f"negative count {total} for m={m}, n={n}")
     return total
@@ -151,14 +152,10 @@ def _divisor_weights(m: int, n: int) -> dict[int, int]:
     return weights
 
 
-def _nonempty(width: int) -> int:
-    return (1 << width) - 1
-
-
 def f_interval(m: int, n: int, table: SieveTable) -> int:
     """Number of nonempty relatively prime subsets of {m+1, ..., n}."""
     _check_interval(m, n)
-    return _mobius_sum(m, n, _interval_weights(m, n, n, table), _nonempty)
+    return _mobius_sum(m, n, _interval_weights(m, n, n, table), None)
 
 
 def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
@@ -171,14 +168,14 @@ def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
     # every binomial argument is below k and the terms are all zero.
     d_hi = n if k == 1 else min(n, (n - m) // (k - 1))
     weights = _interval_weights(m, n, d_hi, table)
-    return _mobius_sum(m, n, weights, lambda w: binomial(w, k))
+    return _mobius_sum(m, n, weights, k)
 
 
 def phi_interval(m: int, n: int, table: SieveTable) -> int:
     """Number of nonempty subsets of {m+1, ..., n} whose gcd is coprime to n.
     Needs only n's factorization; the table is not used."""
     _check_interval(m, n)
-    return _mobius_sum(m, n, _divisor_weights(m, n), _nonempty)
+    return _mobius_sum(m, n, _divisor_weights(m, n), None)
 
 
 def phik_interval(m: int, n: int, k: int, table: SieveTable) -> int:
@@ -188,7 +185,7 @@ def phik_interval(m: int, n: int, k: int, table: SieveTable) -> int:
     _check_k(k)
     if k > n - m:
         return 0
-    return _mobius_sum(m, n, _divisor_weights(m, n), lambda w: binomial(w, k))
+    return _mobius_sum(m, n, _divisor_weights(m, n), k)
 
 
 class CountPlane(NamedTuple):
@@ -214,12 +211,16 @@ def count_plane(n: int) -> CountPlane:
     range, so by Mobius inversion over the squarefree d | a
         f(m, n) = f(m+1, n) + Sigma_{d|a} mu(d) 2^(n//d - a/d),  f(n, n) = 0,
     and fk takes C(n//d - a/d, k-1) in place of the power of 2. phi and
-    phik keep only the d that also divide n. Each step adds one binomial
-    row per squarefree d | a; no sieve and no Mertens value is needed.
+    phik keep only the d that also divide n. Each step adds one row
+    C(x, .) per squarefree d | a. Pascal's rule gives the rows of all x < n
+    up front, as d = 1 reads every one; no sieve or Mertens value is needed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rows: dict[int, list[int]] = {}  # x -> [C(x, 0), ..., C(x, x)]
+    rows = [[1]]
+    for _ in range(n - 1):
+        row = rows[-1]
+        rows.append([1, *map(add, row, row[1:]), 1])
     f, phi = [0] * n, [0] * n
     fk: list[list[int]] = [[]] * n
     phik: list[list[int]] = [[]] * n
@@ -230,9 +231,7 @@ def count_plane(n: int) -> CountPlane:
         fk_m, phik_m = fk_m + [0], phik_m + [0]
         for d, mu in _squarefree_divisors(a):
             x = n // d - a // d
-            row = rows.get(x)
-            if row is None:
-                row = rows[x] = [binomial(x, j) for j in range(x + 1)]
+            row = rows[x]
             step = add if mu > 0 else sub
             f_m = step(f_m, 1 << x)
             fk_m[1 : x + 2] = map(step, fk_m[1 : x + 2], row)

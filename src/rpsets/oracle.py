@@ -6,7 +6,7 @@ form is used. A width guard bounds the intervals it accepts."""
 from functools import lru_cache
 from math import gcd
 
-from .counting import Family, _check_cell, _check_interval
+from .counting import Family, _check_cell
 
 DEFAULT_WIDTH_CAP = 24
 HARD_WIDTH_CAP = 30
@@ -15,14 +15,6 @@ HARD_WIDTH_CAP = 30
 def _check_max_width(max_width: int) -> None:
     if not 1 <= max_width <= HARD_WIDTH_CAP:
         raise ValueError(f"max_width must be in 1..{HARD_WIDTH_CAP}, got {max_width}")
-
-
-def _check_width(m: int, n: int, max_width: int) -> None:
-    _check_max_width(max_width)
-    if n - m > max_width:
-        raise ValueError(
-            f"interval width {n - m} exceeds oracle width cap {max_width}"
-        )
 
 
 @lru_cache(maxsize=64)
@@ -51,7 +43,9 @@ def oracle_count(
     interval's subsets; k is the cardinality for FK and PHIK."""
     family = Family(family)  # a plain "F" would match no branch below
     _check_cell(family, m, n, k)
-    _check_width(m, n, max_width)
+    _check_max_width(max_width)
+    if n - m > max_width:
+        raise ValueError(f"interval width {n - m} exceeds oracle width cap {max_width}")
     profile = _profile(m, n)
     if family is Family.F:
         return sum(c for (g, _), c in profile.items() if g == 1)
@@ -62,18 +56,3 @@ def oracle_count(
     return sum(
         c for (g, card), c in profile.items() if gcd(g, n) == 1 and card == k
     )
-
-
-def oracle_gcd_class_counts(
-    m: int, n: int, max_width: int = DEFAULT_WIDTH_CAP
-) -> dict[int, int]:
-    """Subset count per exact gcd value; the values sum to 2**(n-m) - 1.
-
-    Only classes that actually occur appear as keys.
-    """
-    _check_interval(m, n)
-    _check_width(m, n, max_width)
-    out: dict[int, int] = {}
-    for (g, _), c in _profile(m, n).items():
-        out[g] = out.get(g, 0) + c
-    return out

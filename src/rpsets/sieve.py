@@ -15,7 +15,7 @@ _prime_flags = bytearray()
 
 
 class CapacityError(Exception):
-    """Requested sieve limit exceeds the configured memory cap."""
+    """A request exceeds a cap: the sieve limit cap, or a work cap."""
 
 
 class SieveTable(NamedTuple):

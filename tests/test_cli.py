@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -427,6 +428,47 @@ def test_capacity_exit_code(capsys, tmp_path):
     )
     assert code == EXIT_CAPACITY
     assert "exceeds capacity cap" in err
+
+
+def test_work_cap_stops_verify_campaigns_at_once(capsys, monkeypatch):
+    for mode, items in (("bounds", "2666667466666699999998 bound reports"),
+                        ("identities", "2199999210000120 identities")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", mode, "--n-max", "20000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (EXIT_CAPACITY, "", f"error: {items} exceed work cap 10000000\n")
+    monkeypatch.setattr(cli, "WORK_CAP", 310)  # what verify bounds --n-max 8 reports
+    code, out, _ = run_cli(capsys, "verify", "bounds", "--n-max", "8")
+    assert (code, out) == (EXIT_OK, "verify bounds: checked 310 bound reports, 0 failures\n")
+    code, out, err = run_cli(capsys, "verify", "bounds", "--n-max", "9")
+    assert (code, out, err) == (EXIT_CAPACITY, "", "error: 418 bound reports exceed work cap 310\n")
+    monkeypatch.setattr(cli, "WORK_CAP", 277)  # what the k-max 3 campaign below checks
+    code, out, _ = run_cli(capsys, "verify", "identities", "--n-max", "12", "--k-max", "3")
+    assert (code, out) == (EXIT_OK, "verify identities: checked 277 identities, 0 failures\n")
+    code, out, err = run_cli(capsys, "verify", "identities", "--n-max", "12", "--k-max", "4")
+    assert (code, out, err) == (EXIT_CAPACITY, "", "error: 322 identities exceed work cap 277\n")
+
+
+def test_work_cap_stops_a_long_table_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "table", "--families", "PHI", "--m", "0", "--n", "1..100000000"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err == "error: 100000000 table rows exceed work cap 10000000\n"
+
+
+def test_table_row_count_matches_the_rows():
+    families = (Family.PHI, Family.PHIK)
+    for m_lo in range(7):
+        for m_hi in range(m_lo, 7):
+            for n_lo in range(1, 7):
+                for n_hi in range(n_lo, 7):
+                    ranges = ((m_lo, m_hi), (n_lo, n_hi), (2, 3))
+                    rows = build_table_records(families, *ranges, None)
+                    assert cli._table_rows(families, *ranges) == len(list(rows)), ranges
+    assert cli._table_rows(tuple(Family), (0, 63), (1, 64), (1, 64)) == 2 * 2080 + 2 * 2080 * 64
 
 
 def test_config_supplies_defaults_and_flags_win(capsys, tmp_path):

@@ -1,9 +1,11 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rpsets.counting import Family, f_interval
-from rpsets.oracle import HARD_WIDTH_CAP, _profile, oracle_count, oracle_gcd_class_counts
+from rpsets.counting import Family, count_plane, f_interval
+from rpsets.oracle import HARD_WIDTH_CAP, _profile, oracle_count
 from rpsets.sieve import build_sieve
 
 TABLE = build_sieve(64)
@@ -22,6 +24,15 @@ def enumerated_profile(m, n):
         key = (g, mask.bit_count())
         profile[key] = profile.get(key, 0) + 1
     return profile
+
+
+def gcd_classes(m, n):
+    """Subset count per exact gcd of {m+1, ..., n}: the profile summed over
+    cardinality."""
+    classes = {}
+    for (g, _), c in _profile(m, n).items():
+        classes[g] = classes.get(g, 0) + c
+    return classes
 
 
 def test_profile_equals_the_enumeration():
@@ -44,15 +55,15 @@ def test_oracle_frozen_values():
 
 
 def test_gcd_class_counts_frozen_values():
-    assert oracle_gcd_class_counts(0, 1) == {1: 1}
-    assert oracle_gcd_class_counts(0, 2) == {1: 2, 2: 1}
-    assert oracle_gcd_class_counts(2, 6) == {1: 9, 2: 1, 3: 2, 4: 1, 5: 1, 6: 1}
+    assert gcd_classes(0, 1) == {1: 1}
+    assert gcd_classes(0, 2) == {1: 2, 2: 1}
+    assert gcd_classes(2, 6) == {1: 9, 2: 1, 3: 2, 4: 1, 5: 1, 6: 1}
 
 
 def test_gcd_class_counts_total_is_all_nonempty_subsets():
     for n in range(1, 15):
         for m in range(n):
-            classes = oracle_gcd_class_counts(m, n)
+            classes = gcd_classes(m, n)
             assert sum(classes.values()) == 2 ** (n - m) - 1, (m, n)
             assert all(v > 0 for v in classes.values())
 
@@ -62,7 +73,7 @@ def test_gcd_classes_scale_to_smaller_intervals():
     # the floor-scaled interval
     for n in range(1, 17):
         for m in range(n):
-            classes = oracle_gcd_class_counts(m, n)
+            classes = gcd_classes(m, n)
             for d in range(1, n + 1):
                 md, nd = m // d, n // d
                 expected = f_interval(md, nd, TABLE) if nd > md else 0
@@ -79,8 +90,6 @@ def test_oracle_agrees_with_closed_forms_quick():
 def test_width_cap_enforced():
     with pytest.raises(ValueError, match="width cap 8"):
         oracle_count(Family.F, 0, 9, max_width=8)
-    with pytest.raises(ValueError, match="width cap 8"):
-        oracle_gcd_class_counts(0, 9, max_width=8)
     # 2^8 - 1 subsets minus the gcd >= 2 classes (11 + 5 + 2 + 5 ones)
     assert oracle_count(Family.F, 1, 9, max_width=8) == 232
 
@@ -95,16 +104,7 @@ def test_config_rejects_widths_beyond_hard_cap():
     for max_width in (31, 0):
         with pytest.raises(ValueError, match="max_width must be in 1..30"):
             oracle_count(Family.F, 0, 1, max_width=max_width)
-        with pytest.raises(ValueError, match="max_width must be in 1..30"):
-            oracle_gcd_class_counts(0, 1, max_width=max_width)
     assert oracle_count(Family.F, 0, 1, max_width=30) == 1
-
-
-def test_class_counts_validation():
-    with pytest.raises(ValueError, match="m < n required"):
-        oracle_gcd_class_counts(4, 4)
-    with pytest.raises(ValueError):
-        oracle_gcd_class_counts(-1, 4)
 
 
 def test_oracle_count_validation():
@@ -112,9 +112,28 @@ def test_oracle_count_validation():
         oracle_count("X", 0, 4)
     with pytest.raises(ValueError, match="m < n required"):
         oracle_count(Family.F, 4, 4)
+    with pytest.raises(ValueError, match="m < n required"):
+        oracle_count(Family.F, 5, 4)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        oracle_count(Family.F, -1, 4)
     with pytest.raises(ValueError, match="family FK requires k"):
         oracle_count(Family.FK, 0, 4)
     with pytest.raises(ValueError, match="k must be >= 1"):
         oracle_count(Family.PHIK, 0, 4, 0)
     with pytest.raises(ValueError, match="family PHI does not take k"):
         oracle_count(Family.PHI, 0, 4, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.integers(max(0, n - 16), n - 1), st.just(n))
+))
+def test_oracle_equals_the_plane(cell):
+    # neither side sieves: the DP takes gcds, the plane divisors of m + 1
+    m, n = cell
+    plane = count_plane(n)
+    assert oracle_count(Family.F, m, n) == plane.f[m]
+    assert oracle_count(Family.PHI, m, n) == plane.phi[m]
+    for k in range(1, n - m + 1):
+        assert oracle_count(Family.FK, m, n, k) == plane.fk[m][k], k
+        assert oracle_count(Family.PHIK, m, n, k) == plane.phik[m][k], k
