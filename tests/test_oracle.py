@@ -107,6 +107,16 @@ def test_config_rejects_widths_beyond_hard_cap():
     assert oracle_count(Family.F, 0, 1, max_width=30) == 1
 
 
+def test_class_counts_validation():
+    # every family reads the same gcd-class profile, so each must refuse an
+    # empty or negative interval before the profile is built
+    for family, k in ((Family.F, None), (Family.FK, 1), (Family.PHI, None), (Family.PHIK, 1)):
+        with pytest.raises(ValueError, match="m < n required"):
+            oracle_count(family, 4, 4, k)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            oracle_count(family, -1, 4, k)
+
+
 def test_oracle_count_validation():
     with pytest.raises(ValueError):
         oracle_count("X", 0, 4)
