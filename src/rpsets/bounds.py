@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .counting import _check_interval, _check_k
 from .exactmath import binomial
-from .sieve import smallest_prime_divisor
 
 
 class BoundReport(NamedTuple):
@@ -57,24 +56,27 @@ def check_fk(m: int, n: int, k: int, fk: int) -> BoundReport:
     )
 
 
-def check_phi(m: int, n: int, phi: int, p: int | None = None) -> BoundReport:
+def _check_p(n: int, p: int) -> None:
+    if p < 2 or n % p:
+        raise ValueError(f"p must be >= 2 and divide n, got p = {p} for n = {n}")
+
+
+def check_phi(m: int, n: int, phi: int, p: int) -> BoundReport:
     """Gap of phi = phi(m, n) below 2^(n-m) - 2^(n/p - floor(m/p)), p the
-    least prime divisor of n, found from n when not given. Requires n >= 2."""
+    least prime divisor of n, from the caller; n = 1 has none."""
     _check_interval(m, n)
-    if p is None:
-        p = smallest_prime_divisor(n)
+    _check_p(n, p)
     gap = (1 << (n - m)) - (1 << (n // p - m // p)) - phi
     upper = (2 * n) << ((n - m) // (p + 1))
     return BoundReport("T3", m, n, None, gap, upper, gap >= 0, gap <= upper)
 
 
-def check_phik(m: int, n: int, k: int, phik: int, p: int | None = None) -> BoundReport:
+def check_phik(m: int, n: int, k: int, phik: int, p: int) -> BoundReport:
     """Gap of phik = phik(m, n, k) below C(n-m, k) - C(n/p - floor(m/p), k),
     p as for check_phi."""
     _check_interval(m, n)
     _check_k(k)
-    if p is None:
-        p = smallest_prime_divisor(n)
+    _check_p(n, p)
     gap = binomial(n - m, k) - binomial(n // p - m // p, k) - phik
     upper = n * binomial((n - m) // (p + 1) + 1, k)
     return BoundReport("T4", m, n, k, gap, upper, gap >= 0, gap <= upper)

@@ -3,12 +3,9 @@ verification campaigns (closed forms vs the gcd-state oracle, theorem
 bounds, partition identities)."""
 
 import argparse
-import csv
-import io
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
 
 from . import counting
 from .bounds import (
@@ -33,7 +30,7 @@ from .counting import (
     phik_interval,
 )
 from .exactmath import binomial, ceil_cbrt, decimal_string
-from .oracle import DEFAULT_WIDTH_CAP, _check_max_width, oracle_count
+from .oracle import HARD_WIDTH_CAP, oracle_count
 from .sieve import (
     CapacityError,
     DEFAULT_LIMIT_CAP,
@@ -48,7 +45,8 @@ EXIT_VERIFY_FAILED = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
-WORK_CAP = 10**7  # rows of a table, items of verify bounds or identities; no sieve bounds them
+WORK_CAP = 10**7  # rows of a table, items of a verify campaign; no sieve bounds them
+DEFAULT_WIDTH_CAP = 24  # widest interval verify oracle checks when given no width cap
 
 
 class UsageError(Exception):
@@ -134,27 +132,26 @@ def _table_rows(
 
 _COLUMNS = ("family", "m", "n", "k", "value")
 
-# One table row as json.dumps(records, indent=2) lays it out.
+# One table row per format: CSV, and json.dumps(records, indent=2)'s layout
+# of one record. No field ever needs quoting or escaping: families are
+# capital letters, m, n and k are ints, and values are decimal digits.
+_CSV_RECORD = "%s,%d,%d,%s,%s\n"
 _JSON_RECORD = (
-    '  {\n    "family": %s,\n    "m": %d,\n    "n": %d,\n    "k": %s,\n    "value": %s\n  }'
+    '  {\n    "family": "%s",\n    "m": %d,\n    "n": %d,\n    "k": %s,\n    "value": "%s"\n  }'
 )
 
 
 def render_records(rows: Iterable[tuple], fmt: str) -> str:
     """The (family, m, n, k, value) rows as CSV, or as the bytes of
-    json.dumps of their dicts with indent=2, plus a newline. That call runs
-    the pure-Python encoder, so the JSON is filled into a per-row template
-    instead."""
+    json.dumps of their dicts with indent=2, plus a newline, each row filled
+    into its format's template."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")  # None becomes an empty cell
-        writer.writerow(_COLUMNS)
-        writer.writerows(rows)
-        return buf.getvalue()
-    esc = encode_basestring_ascii
+        # one join: adding the header to the joined rows would copy them all
+        return "".join([",".join(_COLUMNS) + "\n", *(
+            _CSV_RECORD % (f, m, n, "" if k is None else k, v) for f, m, n, k, v in rows
+        )])
     body = ",\n".join(
-        _JSON_RECORD % (esc(family), m, n, "null" if k is None else k, esc(value))
-        for family, m, n, k, value in rows
+        _JSON_RECORD % (f, m, n, "null" if k is None else k, v) for f, m, n, k, v in rows
     )
     return "[\n" + body + "\n]\n" if body else "[]\n"
 
@@ -286,10 +283,13 @@ def _verify_oracle(args, cfg: dict) -> int:
     """The kernel that compute and table use, against the oracle."""
     n_max = _resolve_positive(args, cfg, "n_max", 16)
     width_cap = _resolve_int(args, cfg, "width_cap", DEFAULT_WIDTH_CAP)
-    try:
-        _check_max_width(width_cap)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if not 1 <= width_cap <= HARD_WIDTH_CAP:
+        raise UsageError(f"max_width must be in 1..{HARD_WIDTH_CAP}, got {width_cap}")
+    # a width w has 2w + 2 cells, so n checks n(n + 3) of them up to
+    # a = min(n_max, width_cap) and width_cap(width_cap + 3) above
+    a = min(n_max, width_cap)
+    _check_work(a * (a + 1) * (a + 5) // 3 + (n_max - a) * width_cap * (width_cap + 3),
+                "oracle cells")
     table = build_sieve(n_max, cap=_sieve_cap(cfg))
 
     def check(n, failures):
@@ -302,7 +302,7 @@ def _verify_oracle(args, cfg: dict) -> int:
                 found.append((Family.FK, k, fk_interval(m, n, k, table)))
                 found.append((Family.PHIK, k, phik_interval(m, n, k, table)))
             for family, k, actual in found:
-                expected = oracle_count(family, m, n, k, width_cap)
+                expected = oracle_count(family, m, n, k)
                 if expected != actual:
                     failures.append((family.value, m, n, k, expected, actual))
             cells += len(found)

@@ -1,20 +1,14 @@
 """Ground truth from the definitions alone: the gcd and the cardinality of
 every nonempty subset of the interval, tallied by a dynamic program over the
 elements instead of by enumeration. No Mobius function, sieve or closed
-form is used. A width guard bounds the intervals it accepts."""
+form is used. It accepts intervals up to HARD_WIDTH_CAP wide."""
 
 from functools import lru_cache
 from math import gcd
 
 from .counting import Family, _check_cell
 
-DEFAULT_WIDTH_CAP = 24
 HARD_WIDTH_CAP = 30
-
-
-def _check_max_width(max_width: int) -> None:
-    if not 1 <= max_width <= HARD_WIDTH_CAP:
-        raise ValueError(f"max_width must be in 1..{HARD_WIDTH_CAP}, got {max_width}")
 
 
 @lru_cache(maxsize=64)
@@ -36,16 +30,13 @@ def _profile(m: int, n: int) -> dict[tuple[int, int], int]:
     return profile
 
 
-def oracle_count(
-    family: Family, m: int, n: int, k: int | None = None, max_width: int = DEFAULT_WIDTH_CAP
-) -> int:
+def oracle_count(family: Family, m: int, n: int, k: int | None = None) -> int:
     """Count straight from the definitions, by the gcd profile of the
     interval's subsets; k is the cardinality for FK and PHIK."""
     family = Family(family)  # a plain "F" would match no branch below
     _check_cell(family, m, n, k)
-    _check_max_width(max_width)
-    if n - m > max_width:
-        raise ValueError(f"interval width {n - m} exceeds oracle width cap {max_width}")
+    if n - m > HARD_WIDTH_CAP:
+        raise ValueError(f"interval width {n - m} exceeds oracle width cap {HARD_WIDTH_CAP}")
     profile = _profile(m, n)
     if family is Family.F:
         return sum(c for (g, _), c in profile.items() if g == 1)

@@ -13,7 +13,7 @@ from rpsets.bounds import (
 )
 from rpsets.counting import f_interval, fk_interval, phi_interval, phik_interval
 from rpsets.exactmath import binomial, ceil_cbrt, decimal_string
-from rpsets.sieve import build_sieve
+from rpsets.sieve import build_sieve, smallest_prime_divisor
 
 TABLE = build_sieve(400)
 
@@ -37,11 +37,11 @@ def t2(m, n, k):
 
 
 def t3(m, n):
-    return check_phi(m, n, phi_interval(m, n, TABLE))
+    return check_phi(m, n, phi_interval(m, n, TABLE), smallest_prime_divisor(n))
 
 
 def t4(m, n, k):
-    return check_phik(m, n, k, phik_interval(m, n, k, TABLE))
+    return check_phik(m, n, k, phik_interval(m, n, k, TABLE), smallest_prime_divisor(n))
 
 
 def test_check_f_frozen_reports():
@@ -80,10 +80,20 @@ def test_check_phik_frozen_reports():
 
 
 def test_phi_checks_require_n_at_least_2():
-    with pytest.raises(ValueError):
-        check_phi(0, 1, 1)
-    with pytest.raises(ValueError):
-        check_phik(0, 1, 1, 1)
+    # no p >= 2 divides n = 1
+    with pytest.raises(ValueError, match="p = 2 for n = 1"):
+        check_phi(0, 1, 1, 2)
+    with pytest.raises(ValueError, match="p = 2 for n = 1"):
+        check_phik(0, 1, 1, 1, 2)
+
+
+def test_phi_checks_require_p_to_divide_n():
+    # p = 4 at n = 6 used to report a gap for the wrong p
+    for p in (4, 1, 0, -2):
+        with pytest.raises(ValueError, match=f"p = {p} for n = 6"):
+            check_phi(2, 6, phi_interval(2, 6, TABLE), p)
+        with pytest.raises(ValueError, match=f"p = {p} for n = 6"):
+            check_phik(2, 6, 2, phik_interval(2, 6, 2, TABLE), p)
 
 
 def test_even_endpoints_make_the_gap_formula_exact():

@@ -7,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rpsets import cli, counting
 from rpsets.cli import (
@@ -23,6 +25,7 @@ from rpsets.cli import (
     render_records,
 )
 from rpsets.counting import Family, count_plane, f_interval
+from rpsets.exactmath import decimal_string
 from rpsets.oracle import oracle_count
 from rpsets.sieve import build_sieve
 
@@ -157,6 +160,33 @@ def test_json_rendering_matches_json_dumps():
     for rows in tables:
         records = [dict(zip(cli._COLUMNS, row)) for row in rows]
         assert render_records(rows, "json") == json.dumps(records, indent=2) + "\n"
+
+
+_DRAWN_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(list(Family)),
+        st.integers(0, 10**6),
+        st.integers(1, 10**6),
+        st.none() | st.integers(1, 1000),
+        st.integers(0, 2**20000),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example([])
+@example([(Family.F, 0, 15_000, None, 2**15_000 - 1)])
+@given(_DRAWN_ROWS)
+def test_templates_match_the_csv_and_json_encoders(drawn):
+    rows = [(family.value, m, n, k, decimal_string(v)) for family, m, n, k, v in drawn]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli._COLUMNS)
+    writer.writerows(rows)
+    assert render_records(iter(rows), "csv") == buf.getvalue()
+    records = [dict(zip(cli._COLUMNS, row)) for row in rows]
+    assert render_records(iter(rows), "json") == json.dumps(records, indent=2) + "\n"
 
 
 def test_table_rows_are_made_as_they_are_read(monkeypatch):
@@ -447,6 +477,35 @@ def test_work_cap_stops_verify_campaigns_at_once(capsys, monkeypatch):
     assert (code, out) == (EXIT_OK, "verify identities: checked 277 identities, 0 failures\n")
     code, out, err = run_cli(capsys, "verify", "identities", "--n-max", "12", "--k-max", "4")
     assert (code, out, err) == (EXIT_CAPACITY, "", "error: 322 identities exceed work cap 277\n")
+
+
+def test_work_cap_stops_verify_oracle_at_once(capsys, monkeypatch):
+    # counted before the sieve, so the work cap is the one reported
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "oracle", "--n-max", "20000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err == "error: 12959990248 oracle cells exceed work cap 10000000\n"
+    monkeypatch.setattr(cli, "WORK_CAP", 478)  # what --n-max 12 --width-cap 6 checks
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--n-max", "12", "--width-cap", "6")
+    assert code == EXIT_OK
+    assert "(478 cells), 0 failures" in out
+    code, out, err = run_cli(capsys, "verify", "oracle", "--n-max", "13", "--width-cap", "6")
+    assert (code, out, err) == (EXIT_CAPACITY, "", "error: 532 oracle cells exceed work cap 478\n")
+
+
+def test_verify_oracle_counts_its_cells_exactly(capsys, monkeypatch):
+    # a cap of exactly the cells a campaign checks admits it, one less stops it
+    for n_max, width_cap in ((1, 1), (3, 1), (5, 3), (7, 7), (9, 30), (20, 4)):
+        argv = ["verify", "oracle", "--n-max", str(n_max), "--width-cap", str(width_cap)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        cells = int(out.split("(")[1].split(" cells")[0])
+        monkeypatch.setattr(cli, "WORK_CAP", cells)
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        monkeypatch.setattr(cli, "WORK_CAP", cells - 1)
+        assert run_cli(capsys, *argv)[0] == EXIT_CAPACITY
+        monkeypatch.undo()
 
 
 def test_work_cap_stops_a_long_table_at_once(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpsets.cli import main
 from rpsets.counting import Family, count_plane, f_interval
 from rpsets.oracle import HARD_WIDTH_CAP, _profile, oracle_count
 from rpsets.sieve import build_sieve
@@ -88,23 +89,28 @@ def test_oracle_agrees_with_closed_forms_quick():
 
 
 def test_width_cap_enforced():
-    with pytest.raises(ValueError, match="width cap 8"):
-        oracle_count(Family.F, 0, 9, max_width=8)
+    for family, k in ((Family.F, None), (Family.FK, 2), (Family.PHI, None), (Family.PHIK, 2)):
+        with pytest.raises(ValueError, match="width 31 exceeds oracle width cap 30"):
+            oracle_count(family, 0, 31, k)
     # 2^8 - 1 subsets minus the gcd >= 2 classes (11 + 5 + 2 + 5 ones)
-    assert oracle_count(Family.F, 1, 9, max_width=8) == 232
+    assert oracle_count(Family.F, 1, 9) == 232
 
 
-def test_default_width_cap_is_24():
-    with pytest.raises(ValueError, match="width cap 24"):
-        oracle_count(Family.F, 0, 25)
+def test_default_width_cap_is_24(capsys):
+    # the default belongs to verify oracle, which skips the one interval
+    # (0, 25) wider than 24 at n-max 25
+    assert main(["verify", "oracle", "--n-max", "25"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("0 failures; skipped 1 intervals wider than 24\n")
 
 
-def test_config_rejects_widths_beyond_hard_cap():
+def test_config_rejects_widths_beyond_hard_cap(capsys):
     assert HARD_WIDTH_CAP == 30
-    for max_width in (31, 0):
-        with pytest.raises(ValueError, match="max_width must be in 1..30"):
-            oracle_count(Family.F, 0, 1, max_width=max_width)
-    assert oracle_count(Family.F, 0, 1, max_width=30) == 1
+    assert oracle_count(Family.F, 0, 30) == f_interval(0, 30, TABLE)
+    for width_cap in (31, 0):
+        assert main(["verify", "oracle", "--n-max", "4", "--width-cap", str(width_cap)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: max_width must be in 1..30, got {width_cap}\n"
 
 
 def test_class_counts_validation():

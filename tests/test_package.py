@@ -1,5 +1,8 @@
+import ast
 import importlib
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +36,20 @@ def test_traced_names_are_functions_of_their_module(layer):
         obj = getattr(module, name, None)
         assert inspect.isfunction(obj), name
         assert obj.__module__ == module.__name__, name
+
+
+def test_runtime_imports_are_stdlib_only():
+    # no runtime dependencies: every absolute import in the package is a
+    # standard library module, whatever else is installed
+    modules = sorted(Path(rpsets.__file__).parent.glob("*.py"))
+    seen = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                seen.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                seen.add((path.name, node.module))
+    outside = [(name, module) for name, module in seen
+               if module.partition(".")[0] not in sys.stdlib_module_names]
+    assert len(modules) > 5 and seen
+    assert not outside
