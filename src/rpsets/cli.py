@@ -75,19 +75,11 @@ def parse_range(text: str, name: str) -> tuple[int, int]:
 
 def parse_families(text: str) -> tuple[Family, ...]:
     """Comma list, case-insensitive, deduplicated, canonically ordered."""
-    chosen = []
-    for token in text.split(","):
-        token = token.strip().upper()
-        if not token:
-            continue
-        try:
-            family = Family(token)
-        except ValueError:
-            raise UsageError(f"unknown family {token!r}") from None
-        if family not in chosen:
-            chosen.append(family)
-    order = list(Family)
-    return tuple(sorted(chosen, key=order.index))
+    tokens = [token.strip().upper() for token in text.split(",")]
+    for token in tokens:
+        if token and token not in list(Family):
+            raise UsageError(f"unknown family {token!r}")
+    return tuple(family for family in Family if family in tokens)
 
 
 def build_table_records(
@@ -105,7 +97,7 @@ def build_table_records(
     for family in families:
         name = family.value
         # looked up at call time, so a replaced counting function is the one
-        # the table uses
+        # that table and compute use
         counter = getattr(counting, f"{name.lower()}_interval")
         takes_k = family in K_FAMILIES
         k_values = range(k_range[0], k_range[1] + 1) if takes_k else (None,)
@@ -178,20 +170,15 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve_int(args, cfg: dict, name: str, fallback: int) -> int:
-    """Flag value if given, else config value, else the fallback."""
+    """Flag value if given, else config value, else the fallback; at least 1."""
     value = getattr(args, name, None)
     if value is None:
         value = cfg.get(name, fallback)
     if not isinstance(value, int) or isinstance(value, bool):
         raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
     return value
-
-
-def _sieve_cap(cfg: dict) -> int:
-    cap = cfg.get("sieve_cap", DEFAULT_LIMIT_CAP)
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise UsageError(f"sieve_cap must be a positive integer, got {cap!r}")
-    return cap
 
 
 def _run_compute(args, cfg: dict) -> int:
@@ -204,11 +191,11 @@ def _run_compute(args, cfg: dict) -> int:
     table = None
     if family in SIEVED_FAMILIES:
         # M(x) for x above n^(2/3) costs less by its recursion than by sieving
-        table = build_sieve(ceil_cbrt(n * n), cap=_sieve_cap(cfg))
-    # looked up at call time, so a replaced counting function is the one used
-    counter = getattr(counting, f"{args.family}_interval")
-    value = counter(m, n, table) if k is None else counter(m, n, k, table)
-    print(decimal_string(value))
+        cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
+        table = build_sieve(ceil_cbrt(n * n), cap=cap)
+    # the one row of a one-cell table; k is None or at least 1 here
+    [(*_, value)] = build_table_records((family,), (m, m), (n, n), k and (k, k), table)
+    print(value)
     return EXIT_OK
 
 
@@ -241,7 +228,8 @@ def _run_table(args, cfg: dict) -> int:
     _check_work(_table_rows(families, m_range, n_range, k_range), "table rows")
     table = None
     if any(family in SIEVED_FAMILIES for family in families):
-        table = build_sieve(n_range[1], cap=_sieve_cap(cfg))
+        cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
+        table = build_sieve(n_range[1], cap=cap)
     rows = build_table_records(families, m_range, n_range, k_range, table)
     _emit(render_records(rows, fmt), out)
     return EXIT_OK
@@ -250,13 +238,6 @@ def _run_table(args, cfg: dict) -> int:
 def _csv_cell(value) -> str:
     """None is an empty cell, and an int prints in decimal at any size."""
     return "" if value is None else value if isinstance(value, str) else decimal_string(value)
-
-
-def _resolve_positive(args, cfg: dict, name: str, fallback: int) -> int:
-    value = _resolve_int(args, cfg, name, fallback)
-    if value < 1:
-        raise UsageError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def _verify(n_max: int, check, summary) -> int:
@@ -281,16 +262,16 @@ def _verify(n_max: int, check, summary) -> int:
 
 def _verify_oracle(args, cfg: dict) -> int:
     """The kernel that compute and table use, against the oracle."""
-    n_max = _resolve_positive(args, cfg, "n_max", 16)
+    n_max = _resolve_int(args, cfg, "n_max", 16)
     width_cap = _resolve_int(args, cfg, "width_cap", DEFAULT_WIDTH_CAP)
-    if not 1 <= width_cap <= HARD_WIDTH_CAP:
-        raise UsageError(f"max_width must be in 1..{HARD_WIDTH_CAP}, got {width_cap}")
+    if width_cap > HARD_WIDTH_CAP:
+        raise UsageError(f"width_cap must be <= {HARD_WIDTH_CAP}, got {width_cap}")
     # a width w has 2w + 2 cells, so n checks n(n + 3) of them up to
     # a = min(n_max, width_cap) and width_cap(width_cap + 3) above
     a = min(n_max, width_cap)
     _check_work(a * (a + 1) * (a + 5) // 3 + (n_max - a) * width_cap * (width_cap + 3),
                 "oracle cells")
-    table = build_sieve(n_max, cap=_sieve_cap(cfg))
+    table = build_sieve(n_max, cap=_resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP))
 
     def check(n, failures):
         low = max(0, n - width_cap)
@@ -344,7 +325,7 @@ def _verify_bounds(args, cfg: dict) -> int:
                 failures.append((r.theorem, r.m, n, r.k, f"0..{decimal_string(r.upper)}", r.gap))
         return len(reports)
 
-    n_max = _resolve_positive(args, cfg, "n_max", 100)
+    n_max = _resolve_int(args, cfg, "n_max", 100)
     # n T1 and C(n+1, 2) T2 reports per n, as many T3 and T4 from n = 2
     _check_work(2 * (binomial(n_max + 1, 2) + binomial(n_max + 2, 3)) - 2, "bound reports")
     summary = "verify bounds: checked {} bound reports, {} failures".format
@@ -354,30 +335,23 @@ def _verify_bounds(args, cfg: dict) -> int:
 def _verify_identities(args, cfg: dict) -> int:
     """The gcd-partition identities, with the counts of every smaller
     interval read from the planes built so far."""
-    n_max = _resolve_positive(args, cfg, "n_max", 60)
-    k_max = _resolve_positive(args, cfg, "k_max", 10)
+    n_max = _resolve_int(args, cfg, "n_max", 60)
+    k_max = _resolve_int(args, cfg, "k_max", 10)
     # one F identity per (m, n), and one FK identity per k <= min(n - m, k_max)
     fk_count = binomial(n_max + 2, 3) - binomial(n_max - k_max + 2, 3)
     _check_work(binomial(n_max + 1, 2) + fk_count, "identities")
-    # f_rows[b][a] = f(a, b) and fk_rows[b][a][k] = fk(a, b, k), b from 1 and
-    # k only up to k_max, as no larger k is read
+    # f_rows[b][a] = f(a, b) and fk_rows[b][a][k] = fk(a, b, k), b from 1,
+    # each row cut or zero-padded to k = 0..k_max, as no larger k is read
     f_rows: list[list[int]] = [[]]
     fk_rows: list[list[list[int]]] = [[]]
 
     def f(a, b):
         return f_rows[b][a]
 
-    def fk_of(k):
-        def fk(a, b):
-            row = fk_rows[b][a]
-            return row[k] if k < len(row) else 0
-
-        return fk
-
     def check(n, failures):
         plane = count_plane(n)
         f_rows.append(plane.f)
-        fk_rows.append([row[: k_max + 1] for row in plane.fk])
+        fk_rows.append([row[: k_max + 1] + [0] * (k_max - len(row) + 1) for row in plane.fk])
         checked = 0
         for m in range(n):
             # a failed identity is rare, so only then is its sum computed again
@@ -385,11 +359,12 @@ def _verify_identities(args, cfg: dict) -> int:
                 failures.append(("F", m, n, None, (1 << (n - m)) - 1, partition_sum_f(m, n, f)))
             ks = range(1, min(n - m, k_max) + 1)
             for k in ks:
-                fk = fk_of(k)
+                def fk(a, b, k=k):
+                    return fk_rows[b][a][k]
+
                 if not partition_identity_fk(m, n, k, fk):
-                    failures.append(
-                        ("FK", m, n, k, binomial(n - m, k), partition_sum_fk(m, n, k, fk))
-                    )
+                    failures.append(("FK", m, n, k, binomial(n - m, k),
+                                     partition_sum_fk(m, n, k, fk)))
             checked += 1 + len(ks)
         return checked
 
@@ -459,8 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except Exception as exc:  # a bug in rpsets, not a user mistake
         print(f"internal error: {exc}", file=sys.stderr)

@@ -33,17 +33,11 @@ def _profile(m: int, n: int) -> dict[tuple[int, int], int]:
 def oracle_count(family: Family, m: int, n: int, k: int | None = None) -> int:
     """Count straight from the definitions, by the gcd profile of the
     interval's subsets; k is the cardinality for FK and PHIK."""
-    family = Family(family)  # a plain "F" would match no branch below
+    family = Family(family)  # _check_cell formats family.value
     _check_cell(family, m, n, k)
     if n - m > HARD_WIDTH_CAP:
         raise ValueError(f"interval width {n - m} exceeds oracle width cap {HARD_WIDTH_CAP}")
-    profile = _profile(m, n)
-    if family is Family.F:
-        return sum(c for (g, _), c in profile.items() if g == 1)
-    if family is Family.FK:
-        return sum(c for (g, card), c in profile.items() if g == 1 and card == k)
-    if family is Family.PHI:
-        return sum(c for (g, _), c in profile.items() if gcd(g, n) == 1)
-    return sum(
-        c for (g, card), c in profile.items() if gcd(g, n) == 1 and card == k
-    )
+    # F and FK keep gcd 1, PHI and PHIK a gcd coprime to n; gcd(g, 0) = g
+    coprime_to = n if family in (Family.PHI, Family.PHIK) else 0
+    return sum(count for (g, card), count in _profile(m, n).items()
+               if gcd(g, coprime_to) == 1 and k in (None, card))

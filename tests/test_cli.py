@@ -74,6 +74,59 @@ def test_a_value_error_from_a_count_is_internal(capsys, monkeypatch):
     assert (code, out, err) == (EXIT_INTERNAL, "", "internal error: a bug, not a user mistake\n")
 
 
+def test_out_of_memory_exits_3_with_empty_stdout(capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(counting, "phi_interval", no_memory)
+    for argv in (("compute", "phi", "--m", "0", "--n", "10"),
+                 ("table", "--families", "PHI", "--m", "0", "--n", "1..4")):
+        assert run_cli(capsys, *argv) == (EXIT_CAPACITY, "", "error: out of memory\n"), argv
+
+    def no_memory_said(*args):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(counting, "phi_interval", no_memory_said)
+    code, out, err = run_cli(capsys, "compute", "phi", "--m", "0", "--n", "10")
+    assert (code, out, err) == (EXIT_CAPACITY, "", "error: cannot allocate\n")
+
+
+def test_compute_and_table_read_the_counting_module_at_call_time(capsys, monkeypatch):
+    # the seam a replaced counting function goes through; verify oracle
+    # calls the names imported into cli, so it still sees the real kernel
+    monkeypatch.setattr(counting, "fk_interval", lambda m, n, k, table: 7)
+    code, out, _ = run_cli(capsys, "compute", "fk", "--m", "0", "--n", "6", "--k", "2")
+    assert (code, out) == (EXIT_OK, "7\n")
+    code, out, _ = run_cli(capsys, "table", "--families", "F,FK", "--m", "0..2",
+                           "--n", "1..5", "--k", "1..3", "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    fk_values = [row["value"] for row in rows if row["family"] == "FK"]
+    assert len(fk_values) == 36 and set(fk_values) == {"7"}
+    assert "7" not in {row["value"] for row in rows if row["family"] == "F"}
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--n-max", "6")
+    assert (code, out[-12:]) == (EXIT_OK, " 0 failures\n")
+
+
+def test_integer_options_share_one_resolver(capsys, tmp_path):
+    # width_cap's two messages are pinned by test_config_rejects_widths_beyond_hard_cap
+    cfg = tmp_path / "cfg.json"
+    for cap, message in ((0, "sieve_cap must be >= 1, got 0"),
+                         (-1, "sieve_cap must be >= 1, got -1"),
+                         ("x", "sieve_cap must be an integer, got 'x'"),
+                         (True, "sieve_cap must be an integer, got True")):
+        cfg.write_text(json.dumps({"sieve_cap": cap}))
+        for argv in (("compute", "fk", "--m", "0", "--n", "9", "--k", "2"),
+                     ("table", "--families", "F", "--m", "0", "--n", "1..4"),
+                     ("verify", "oracle", "--n-max", "4")):
+            code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+            assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n"), (cap, argv)
+        # phi builds no sieve, so it never reads the cap
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "compute", "phi", "--m", "2",
+                               "--n", "6")
+        assert (code, out) == (EXIT_OK, "10\n")
+
+
 def test_compute_usage_errors(capsys):
     cases = [
         (("f", "--m", "3", "--n", "3"), "m < n required"),
@@ -358,7 +411,7 @@ def test_verify_oracle_skips_wide_intervals(capsys):
         assert (code, out) == (EXIT_OK, f"verify oracle: {line}\n")
     code, _, err = run_cli(capsys, "verify", "oracle", "--n-max", "4", "--width-cap", "31")
     assert code == EXIT_USAGE
-    assert "max_width must be in 1..30" in err
+    assert "width_cap must be <= 30, got 31" in err
 
 
 def test_table_out_must_be_a_path(capsys, tmp_path):
@@ -567,8 +620,12 @@ def test_parse_range_forms():
 
 def test_parse_families_dedupes_and_orders():
     assert parse_families("phi,F,fk,PHI") == (Family.F, Family.FK, Family.PHI)
+    assert parse_families(" phik, ,f ") == (Family.F, Family.PHIK)
     with pytest.raises(UsageError):
         parse_families("F,NOPE")
+    # the first unknown name in input order
+    with pytest.raises(UsageError, match="unknown family 'Y'"):
+        parse_families("F,Y,X")
 
 
 def test_table_spec_validation(capsys, tmp_path):

@@ -82,6 +82,25 @@ def test_gcd_classes_scale_to_smaller_intervals():
             assert all(d <= n for d in classes)
 
 
+def test_one_filter_serves_every_family():
+    # each family by its definition, over the enumerated subsets
+    kept = {
+        "F": lambda g, card, n, k: g == 1,
+        "FK": lambda g, card, n, k: g == 1 and card == k,
+        "PHI": lambda g, card, n, k: gcd(g, n) == 1,
+        "PHIK": lambda g, card, n, k: gcd(g, n) == 1 and card == k,
+    }
+    for n in range(1, 11):
+        for m in range(n):
+            profile = enumerated_profile(m, n)
+            for name, keep in kept.items():
+                ks = range(1, n - m + 2) if name.endswith("K") else (None,)
+                for k in ks:
+                    expected = sum(c for (g, card), c in profile.items() if keep(g, card, n, k))
+                    assert oracle_count(name, m, n, k) == expected, (name, m, n, k)
+                    assert oracle_count(Family(name), m, n, k) == expected, (name, m, n, k)
+
+
 def test_oracle_agrees_with_closed_forms_quick():
     for n in range(1, 11):
         for m in range(n):
@@ -107,10 +126,10 @@ def test_default_width_cap_is_24(capsys):
 def test_config_rejects_widths_beyond_hard_cap(capsys):
     assert HARD_WIDTH_CAP == 30
     assert oracle_count(Family.F, 0, 30) == f_interval(0, 30, TABLE)
-    for width_cap in (31, 0):
+    for width_cap, err in ((31, "width_cap must be <= 30, got 31"),
+                           (0, "width_cap must be >= 1, got 0")):
         assert main(["verify", "oracle", "--n-max", "4", "--width-cap", str(width_cap)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: max_width must be in 1..30, got {width_cap}\n"
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_class_counts_validation():
@@ -124,7 +143,7 @@ def test_class_counts_validation():
 
 
 def test_oracle_count_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'X' is not a valid Family"):
         oracle_count("X", 0, 4)
     with pytest.raises(ValueError, match="m < n required"):
         oracle_count(Family.F, 4, 4)
