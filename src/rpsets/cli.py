@@ -341,7 +341,7 @@ def _verify_identities(args, cfg: dict) -> int:
     fk_count = binomial(n_max + 2, 3) - binomial(n_max - k_max + 2, 3)
     _check_work(binomial(n_max + 1, 2) + fk_count, "identities")
     # f_rows[b][a] = f(a, b) and fk_rows[b][a][k] = fk(a, b, k), b from 1,
-    # each row cut or zero-padded to k = 0..k_max, as no larger k is read
+    # each row cut to k = 0..k_max, as no larger k is read
     f_rows: list[list[int]] = [[]]
     fk_rows: list[list[list[int]]] = [[]]
 
@@ -351,7 +351,7 @@ def _verify_identities(args, cfg: dict) -> int:
     def check(n, failures):
         plane = count_plane(n)
         f_rows.append(plane.f)
-        fk_rows.append([row[: k_max + 1] + [0] * (k_max - len(row) + 1) for row in plane.fk])
+        fk_rows.append([row[: k_max + 1] for row in plane.fk])
         checked = 0
         for m in range(n):
             # a failed identity is rare, so only then is its sum computed again
@@ -360,7 +360,8 @@ def _verify_identities(args, cfg: dict) -> int:
             ks = range(1, min(n - m, k_max) + 1)
             for k in ks:
                 def fk(a, b, k=k):
-                    return fk_rows[b][a][k]
+                    row = fk_rows[b][a]
+                    return row[k] if k < len(row) else 0
 
                 if not partition_identity_fk(m, n, k, fk):
                     failures.append(("FK", m, n, k, binomial(n - m, k),
