@@ -190,7 +190,8 @@ def _run_compute(args, cfg: dict) -> int:
         raise UsageError(str(exc)) from None
     table = None
     if family in SIEVED_FAMILIES:
-        # M(x) for x above n^(2/3) costs less by its recursion than by sieving
+        # M(x) for x above n^(2/3) costs less by its recursion than by
+        # sieving; half and twice this limit were slower at n = 10^6 to 10^9
         cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
         table = build_sieve(ceil_cbrt(n * n), cap=cap)
     # the one row of a one-cell table; k is None or at least 1 here

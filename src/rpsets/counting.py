@@ -9,10 +9,11 @@ For the integer interval {m+1, ..., n} with 0 <= m < n:
 
 All four are one sum, Sigma mu(d) * g(floor(n/d) - floor(m/d)), with
 g(w) = 2^w - 1 (the nonempty subsets of a w-element set) for f and phi and
-g(w) = C(w, k) for fk and phik. f and fk sum over all d up to n, taken in
-blocks of d with common quotients and weighted by differences of the Mertens
-function M; phi and phik sum over the squarefree divisors of n only. Every
-value is an exact int.
+g(w) = C(w, k) for fk and phik. f sums over all d up to n; fk with k >= 2
+stops at d = floor((n-m)/(k-1)), past which every width is below k. Past
+sqrt(n) both take the d in blocks with common quotients, weighted by
+differences of the Mertens function M. phi and phik sum over the squarefree
+divisors of n only. Every value is an exact int.
 
 count_plane(n) gives all four counts for every m < n and every k at once,
 from a recurrence in m instead of the sums.
@@ -20,8 +21,9 @@ from a recurrence in m instead of the sums.
 
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt
-from operator import add, sub
+from operator import add, floordiv, mul, sub
 from typing import NamedTuple
 
 from .exactmath import binomial
@@ -83,21 +85,36 @@ def _mobius_sum(m: int, n: int, weights: dict[int, int], k: int | None) -> int:
 
 def _mertens(x: int, table: SieveTable, memo: dict[int, int]) -> int:
     """M(x) = mu(1) + ... + mu(x), from the table when x is inside it, else
-    by M(x) = 1 - Sigma_{d=2..x} M(floor(x/d)), summed over the blocks of d
-    with a common quotient. memo keeps the values found above the table."""
+    from the split of Sigma_{d<=x} M(floor(x/d)) = 1 at t = min(isqrt(x),
+    table.limit): with D = floor(x/(t+1)),
+
+        M(x) = 1 + D*M(t) - Sigma_{d=2..D} M(floor(x/d))
+                 - Sigma_{q<=t} mu(q)*floor(x/q),
+
+    since the d > D have floor(x/d) <= t and each q <= t is counted by
+    floor(x/q) - D of them. Only the d with floor(x/d) past the table, at
+    most x/limit of them, recurse, in blocks of a common quotient; the other
+    M and the q-sum are single passes over the table. memo keeps the values
+    found above the table."""
     if x <= table.limit:
         return table.mertens[x]
     value = memo.get(x)
     if value is None:
-        # most quotients fall inside the table: read those without a call
         limit, mertens = table.limit, table.mertens
-        value = 1
+        t = min(isqrt(x), limit)
+        top = x // (t + 1)
+        deep = x // (limit + 1)  # floor(x/d) > limit exactly when d <= deep
+        value = (
+            1
+            + top * mertens[t]
+            - sum(map(mertens.__getitem__, map(floordiv, repeat(x), range(deep + 1, top + 1))))
+            - sum(map(mul, table.mobius[1 : t + 1], map(floordiv, repeat(x), range(1, t + 1))))
+        )
         d = 2
-        while d <= x:
+        while d <= deep:
             q = x // d
             end = x // q
-            m_q = mertens[q] if q <= limit else _mertens(q, table, memo)
-            value -= (end - d + 1) * m_q
+            value -= (end - d + 1) * _mertens(q, table, memo)
             d = end + 1
         memo[x] = value
     return value
@@ -167,6 +184,10 @@ def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
     # floor(n/d) - floor(m/d) <= floor((n-m)/d) + 1, so once d*(k-1) > n-m
     # every binomial argument is below k and the terms are all zero.
     d_hi = n if k == 1 else min(n, (n - m) // (k - 1))
+    # Raised to the end of its block of n//d: the added d are past the cut
+    # and add nothing, and M(d_hi) is then one of the points M(n//j) that
+    # the blocks read anyway, not a third family of memo points d_hi//j.
+    d_hi = n // (n // d_hi)
     weights = _interval_weights(m, n, d_hi, table)
     return _mobius_sum(m, n, weights, k)
 

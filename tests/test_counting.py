@@ -20,6 +20,8 @@ from rpsets.exactmath import binomial, ceil_cbrt
 from rpsets.sieve import build_sieve, prime_factors
 
 TABLE = build_sieve(3000)
+# long enough that every M(x) the tests below ask for is a table read
+FULL = build_sieve(300_000)
 
 
 def subsets_brute(m, n):
@@ -184,6 +186,25 @@ def test_mertens_recursion_matches_sieve_prefix(limit):
     small = build_sieve(limit)
     for x in range(2001):
         assert _mertens(x, small, {}) == TABLE.mertens[x], x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 200_000), st.integers(1, 2000))
+def test_mertens_split_matches_the_table(x, limit):
+    # the split point is isqrt(x) when the table reaches it and the whole
+    # table when it does not; both must give the sieved M(x)
+    assert _mertens(x, build_sieve(limit), {}) == FULL.mertens[x]
+
+
+@pytest.mark.parametrize("n", [229_999, 300_000])
+def test_recursion_and_cut_off_match_a_table_to_n(n):
+    # a table of n^(2/3) finds M above it by the split and rounds fk's
+    # cut-off to its block; a table reaching n needs no recursion
+    short = build_sieve(ceil_cbrt(n * n))
+    for m in (0, 1, n // 3, n - 5000):
+        assert f_interval(m, n, short) == f_interval(m, n, FULL), m
+        for k in (1, 2, 3, 7):
+            assert fk_interval(m, n, k, short) == fk_interval(m, n, k, FULL), (m, k)
 
 
 def test_mertens_published_values():
