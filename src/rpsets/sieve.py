@@ -1,17 +1,19 @@
-"""Mobius and Mertens tables and the prime flags they come from, and
+"""Mobius and Mertens tables and the list of primes they come from, and
 factorization of single integers by trial division."""
 
 import math
+from bisect import bisect_right
 from itertools import accumulate, compress
 from operator import neg
 from typing import NamedTuple
 
 DEFAULT_LIMIT_CAP = 10**7
 
-# _prime_flags[i] is 1 when i is prime; grown on demand by _prime_flags_upto,
-# so importing the module sieves nothing. build_sieve and
-# exactmath.binomial share it.
-_prime_flags = bytearray()
+# (size, primes): every prime below size, ascending. _primes_upto regrows it
+# on demand, so importing the module sieves nothing; build_sieve and
+# exactmath.binomial share it. size is kept because the last prime falls
+# short of what the store covers.
+_prime_store: tuple[int, list[int]] = (0, [])
 
 
 class CapacityError(Exception):
@@ -32,24 +34,26 @@ class SieveTable(NamedTuple):
     mertens: list[int]
 
 
-def _prime_flags_upto(n: int) -> bytearray:
-    """Prime flags for 0..n at least, from a sieve of Eratosthenes that is
-    rebuilt at least twice as long whenever it is too short."""
-    global _prime_flags
-    flags = _prime_flags
-    if len(flags) <= n:
-        size = max(n + 1, 2 * len(flags))
+def _primes_upto(n: int) -> list[int]:
+    """Every prime up to n, ascending, and maybe some above it, from a sieve
+    of Eratosthenes that is rebuilt at least twice as long whenever it is
+    too short."""
+    global _prime_store
+    size, primes = _prime_store
+    if size <= n:
+        size = max(n + 1, 2 * size)
         flags = bytearray([1]) * size
         flags[:2] = b"\x00\x00"
         for p in range(2, math.isqrt(size - 1) + 1):
             if flags[p]:
                 flags[p * p :: p] = bytes(len(range(p * p, size, p)))
-        _prime_flags = flags
-    return flags
+        primes = list(compress(range(size), flags))
+        _prime_store = size, primes
+    return primes
 
 
 def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
-    """Build both tables from the shared prime flags.
+    """Build both tables from the shared list of primes.
 
     mu starts at 1 on 1..limit; each prime p flips the sign on the multiples
     of p and zeroes the multiples of p*p, which leaves mu(n) = (-1)^r for
@@ -60,8 +64,8 @@ def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
     if limit > cap:
         raise CapacityError(f"sieve limit {limit} exceeds capacity cap {cap}")
     mobius = [0] + [1] * limit
-    flags = _prime_flags_upto(limit)
-    for p in compress(range(2, limit + 1), flags[2 : limit + 1]):
+    primes = _primes_upto(limit)
+    for p in primes[: bisect_right(primes, limit)]:
         mobius[p::p] = map(neg, mobius[p::p])
         if p * p <= limit:
             mobius[p * p :: p * p] = [0] * len(range(p * p, limit + 1, p * p))

@@ -35,14 +35,14 @@ def test_binomial_matches_pascal_triangle():
 @given(st.integers(0, 6000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 2))))
 def test_binomial_matches_math_comb(cell):
     # k runs over the whole row, so both sides of the switch to the prime
-    # factorization (at min(k, n - k)**2 >= 256 * n) are drawn
+    # factorization (at min(k, n - k)**2 >= 64 * (n + 4096)) are drawn
     n, k = cell
     assert binomial(n, k) == (math.comb(n, k) if k <= n else 0)
 
 
 def test_binomial_at_the_method_switch_and_edges():
     for n in (2000, 6000, 40_000):
-        j0 = math.isqrt(256 * n)  # the least j factored is j0 or j0 + 1
+        j0 = math.isqrt(64 * (n + 4096))  # the least j factored is j0 or j0 + 1
         for j in range(j0 - 2, j0 + 3):
             assert binomial(n, j) == math.comb(n, j)
             assert binomial(n, n - j) == math.comb(n, j)
@@ -55,13 +55,29 @@ def test_binomial_at_the_method_switch_and_edges():
 
 def test_binomial_by_factors_on_every_small_row():
     # binomial only factors large j; this covers the method on its own,
-    # including n below 4, where sqrt(n) and n/2 meet
-    for n in range(150):
-        for j in range(n // 2 + 1):
-            assert _binomial_by_factors(n, j) == math.comb(n, j), (n, j)
+    # including n below 4, where sqrt(n) and n/2 meet, and every n whose
+    # slice bounds sqrt(n), n/2, n - j or n fall on a prime up to 400
+    for n in range(401):
+        half_row = range(n // 2 + 1)
+        factored = [_binomial_by_factors(n, j) for j in half_row]
+        assert factored == [math.comb(n, j) for j in half_row], n
 
 
-@pytest.mark.parametrize("n, k", [(95_000, 47_000), (100_000, 10_000), (30_000, 3_000)])
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (95_000, 47_000),
+        (100_000, 10_000),
+        (30_000, 3_000),
+        # primes on the bounds that cut the factorization's prime slices
+        (10_007, 4_998),  # n, n/2 and n - k prime
+        (49_999, 24_986),  # n, sqrt(n) and n - k prime
+        (99_991, 49_992),  # n and n - k prime
+        (10_201, 3_200),  # sqrt(n) = 101 and n - k prime
+        (97_969, 27_968),  # sqrt(n) = 313 and n - k prime
+        (99_998, 49_999),  # n/2 = n - k prime
+    ],
+)
 def test_binomial_large_rows(n, k):
     assert binomial(n, k) == math.comb(n, k)
 

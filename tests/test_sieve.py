@@ -59,16 +59,17 @@ def test_mobius_frozen_values():
 
 
 def tables_from_every_flag_state(monkeypatch):
-    """build_sieve(LIMIT) from cold prime flags, from flags that a factored
-    binomial grew far past LIMIT, and from flags shorter than LIMIT."""
-    monkeypatch.setattr(sieve, "_prime_flags", bytearray())
+    """build_sieve(LIMIT) from a cold prime store, from a store that a
+    factored binomial grew far past LIMIT, and from a store shorter than
+    LIMIT."""
+    monkeypatch.setattr(sieve, "_prime_store", (0, []))
     yield "cold", build_sieve(LIMIT)
     binomial(100_000, 50_000)
-    assert len(sieve._prime_flags) > 50 * LIMIT
+    assert sieve._prime_store[0] > 50 * LIMIT
     yield "grown", build_sieve(LIMIT)
-    monkeypatch.setattr(sieve, "_prime_flags", bytearray())
+    monkeypatch.setattr(sieve, "_prime_store", (0, []))
     build_sieve(LIMIT // 8)
-    assert len(sieve._prime_flags) <= LIMIT
+    assert sieve._prime_store[0] <= LIMIT
     yield "short", build_sieve(LIMIT)
 
 
@@ -80,10 +81,19 @@ def test_mobius_against_trial_division(monkeypatch):
         assert table.mobius == expected, state
 
 
+def test_tables_of_every_small_limit_are_prefixes():
+    # build_sieve cuts the shared prime list at limit, which is itself the
+    # last prime it must use whenever limit is prime
+    for limit in range(1, 300):
+        table = build_sieve(limit)
+        assert table.mobius == TABLE.mobius[: limit + 1], limit
+        assert table.mertens == TABLE.mertens[: limit + 1], limit
+
+
 def test_binomial_after_a_small_sieve(monkeypatch):
-    # a small build_sieve leaves short flags that the factored binomial
-    # (j*j >= 256*n in each of these) has to grow
-    monkeypatch.setattr(sieve, "_prime_flags", bytearray())
+    # a small build_sieve leaves a short prime store that the factored
+    # binomial (j*j >= 64*(n + 4096) in each of these) has to grow
+    monkeypatch.setattr(sieve, "_prime_store", (0, []))
     build_sieve(64)
     for n, j in ((3000, 1500), (40_000, 20_000), (100_000, 50_000)):
         assert binomial(n, j) == math.comb(n, j), (n, j)
