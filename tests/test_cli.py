@@ -48,10 +48,32 @@ def test_compute_examples(capsys):
 def test_compute_beyond_the_default_sieve_cap(capsys):
     # n is ten times the default cap; compute sieves only to n^(2/3)
     code, out, err = run_cli(
-        capsys, "compute", "fk", "--m", "25000000", "--n", "100000000", "--k", "3"
+        capsys, "compute", "fk", "--m", "250000000", "--n", "1000000000", "--k", "3"
     )
     assert code == EXIT_OK, err
-    assert int(out) > 0
+    assert int(out) == 58493486967126233457309653
+
+
+def test_default_sieve_cap_admits_compute_up_to_n_10_12(capsys, monkeypatch):
+    # ceil((10^12)^(2/3)) = 10^8 is the cap itself. The table is not built
+    # here: the stand-in records the request and runs out of memory.
+    requests = []
+
+    def record(limit, cap):
+        requests.append((limit, cap))
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_sieve", record)
+    argv = ["compute", "fk", "--m", "250000000000", "--n", "1000000000000", "--k", "2"]
+    assert run_cli(capsys, *argv) == (EXIT_CAPACITY, "", "error: out of memory\n")
+    assert requests == [(10**8, 10**8)]
+    monkeypatch.undo()
+    argv[-3] = "1000000000001"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err == "error: sieve limit 100000001 exceeds capacity cap 100000000\n"
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -167,7 +189,7 @@ def test_compute_phi_builds_no_table(capsys):
 
 def test_table_of_phi_builds_no_table(capsys):
     # n is twice the default sieve cap, so any sieve would exit 3
-    argv = ["--m", "19999990", "--n", "20000000"]
+    argv = ["--m", "199999990", "--n", "200000000"]
     code, out, err = run_cli(capsys, "table", "--families", "PHI", *argv)
     assert code == EXIT_OK, err
     (record,) = json.loads(out)

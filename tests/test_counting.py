@@ -10,6 +10,7 @@ from rpsets.counting import (
     Family,
     _check_cell,
     _mertens,
+    _squarefree_divisors,
     count_plane,
     f_interval,
     fk_interval,
@@ -17,7 +18,7 @@ from rpsets.counting import (
     phik_interval,
 )
 from rpsets.exactmath import binomial, ceil_cbrt
-from rpsets.sieve import build_sieve, prime_factors
+from rpsets.sieve import build_sieve, prime_factors, squarefree_by_sign
 
 TABLE = build_sieve(3000)
 # long enough that every M(x) the tests below ask for is a table read
@@ -174,6 +175,14 @@ def test_interval_validation(func):
         func(-1, 2, TABLE)
 
 
+def test_squarefree_divisor_cache_stays_bounded():
+    # each distinct n it keeps costs about 0.8 KB, and a long run of phik
+    # counts asks for a new n every time
+    for n in range(10**6, 10**6 + 1000):
+        phik_interval(n - 10, n, 2, TABLE)
+    assert _squarefree_divisors.cache_info().currsize <= 256
+
+
 def test_k_validation():
     with pytest.raises(ValueError):
         fk_interval(0, 4, 0, TABLE)
@@ -181,19 +190,26 @@ def test_k_validation():
         phik_interval(0, 4, -1, TABLE)
 
 
+def mertens_by_split(x, table, memo, top=None):
+    """_mertens(x) with the signed squarefree lists it reads, built up to
+    2*isqrt(top) for top = x unless given, as the kernel builds them."""
+    top = x if top is None else top
+    return _mertens(x, table, memo, squarefree_by_sign(2 * math.isqrt(top), table))
+
+
 @pytest.mark.parametrize("limit", [1, 10])
 def test_mertens_recursion_matches_sieve_prefix(limit):
     small = build_sieve(limit)
     for x in range(2001):
-        assert _mertens(x, small, {}) == TABLE.mertens[x], x
+        assert mertens_by_split(x, small, {}) == TABLE.mertens[x], x
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 200_000), st.integers(1, 2000))
 def test_mertens_split_matches_the_table(x, limit):
-    # the split point is isqrt(x) when the table reaches it and the whole
+    # the split point is 2*isqrt(x) when the table reaches it and the whole
     # table when it does not; both must give the sieved M(x)
-    assert _mertens(x, build_sieve(limit), {}) == FULL.mertens[x]
+    assert mertens_by_split(x, build_sieve(limit), {}) == FULL.mertens[x]
 
 
 @pytest.mark.parametrize("n", [229_999, 300_000])
@@ -211,7 +227,7 @@ def test_mertens_published_values():
     small = build_sieve(1000)
     memo: dict[int, int] = {}
     for x, expected in ((10**4, -23), (10**5, -48), (10**6, 212), (10**7, 1037)):
-        assert _mertens(x, small, memo) == expected, x
+        assert mertens_by_split(x, small, memo, top=10**7) == expected, x
 
 
 def all_families(m, n, k, table):

@@ -1,15 +1,19 @@
 import math
+import sys
+from array import array
 
 import pytest
 
 from rpsets import sieve
-from rpsets.exactmath import binomial
+from rpsets.exactmath import binomial, ceil_cbrt
 from rpsets.sieve import (
+    DEFAULT_LIMIT_CAP,
     CapacityError,
     build_sieve,
     divisors,
     prime_factors,
     smallest_prime_divisor,
+    squarefree_by_sign,
 )
 
 LIMIT = 2000
@@ -45,8 +49,8 @@ def totient_by_euler_product(n: int) -> int:
 def test_base_cases():
     t = build_sieve(1)
     assert t.limit == 1
-    assert t.mobius == [0, 1]
-    assert t.mertens == [0, 1]
+    assert t.mobius.tolist() == [0, 1]
+    assert t.mertens.tolist() == [0, 1]
     assert prime_factors(1) == []
 
 
@@ -75,10 +79,10 @@ def tables_from_every_flag_state(monkeypatch):
 
 def test_mobius_against_trial_division(monkeypatch):
     expected = [0] + [mobius_by_trial_division(n) for n in range(1, LIMIT + 1)]
-    assert TABLE.mobius == expected
+    assert TABLE.mobius.tolist() == expected
     for state, table in tables_from_every_flag_state(monkeypatch):
         assert table == TABLE, state
-        assert table.mobius == expected, state
+        assert table.mobius.tolist() == expected, state
 
 
 def test_tables_of_every_small_limit_are_prefixes():
@@ -118,6 +122,15 @@ def test_mertens_is_the_prefix_sum_of_mobius():
     for n in range(LIMIT + 1):
         running += TABLE.mobius[n]
         assert TABLE.mertens[n] == running, n
+
+
+def test_squarefree_by_sign_splits_the_table():
+    plus, minus = squarefree_by_sign(LIMIT, TABLE)
+    assert plus == [q for q in range(1, LIMIT + 1) if TABLE.mobius[q] == 1]
+    assert minus == [q for q in range(1, LIMIT + 1) if TABLE.mobius[q] == -1]
+    # a top past the table stops at its end
+    plus, minus = squarefree_by_sign(10**6, build_sieve(30))
+    assert (plus, minus) == ([1, 6, 10, 14, 15, 21, 22, 26], [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 30])
 
 
 def test_smallest_prime_divisor_against_trial_division():
@@ -204,4 +217,26 @@ def test_build_sieve_enforces_capacity_cap():
     with pytest.raises(CapacityError):
         build_sieve(101, cap=100)
     assert build_sieve(100, cap=100).limit == 100
+
+
+def test_tables_are_signed_bytes_and_16_bit_mertens():
+    assert TABLE.mobius.typecode == "b"
+    assert TABLE.mertens.typecode == "h"
+    assert (TABLE.mobius.itemsize, TABLE.mertens.itemsize) == (1, 2)
+
+
+def test_tables_take_three_bytes_per_entry():
+    # both arrays are allocated at their exact length, with no spare room
+    limit = 10**6
+    table = build_sieve(limit)
+    size = sys.getsizeof(table.mobius) + sys.getsizeof(table.mertens)
+    assert size <= 3 * (limit + 1) + sys.getsizeof(array("b")) + sys.getsizeof(array("h"))
+    assert table.mertens[limit] == 212  # M(10^6), OEIS A084237
+
+
+def test_default_cap_admits_the_table_of_n_10_12():
+    # checked before anything is allocated, so neither table is built here
+    assert ceil_cbrt((10**12) ** 2) == DEFAULT_LIMIT_CAP == 10**8
+    with pytest.raises(CapacityError, match="sieve limit 100000001 exceeds capacity cap 100000000"):
+        build_sieve(ceil_cbrt((10**12 + 1) ** 2))
 
