@@ -3,6 +3,7 @@ verification campaigns (closed forms vs the gcd-state oracle, theorem
 bounds, partition identities)."""
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterable, Iterator
@@ -23,6 +24,7 @@ from .counting import (
     K_FAMILIES,
     SIEVED_FAMILIES,
     _check_cell,
+    _fk_cut_off,
     count_plane,
     f_interval,
     fk_interval,
@@ -191,12 +193,21 @@ def _run_compute(args, cfg: dict) -> int:
     table = None
     if family in SIEVED_FAMILIES:
         # M(x) for x above n^(2/3) costs less by its recursion than by
-        # sieving. Sieve plus count, fk at m = n/4, k = 2 / f at m = n - 60,
-        # half / this / twice this limit: 0.11 / 0.11 / 0.13 s and 0.17 /
-        # 0.14 / 0.17 s at n = 10^8, 2.3 / 2.4 / 2.7 s and 2.7 / 2.5 / 3.0 s
-        # at n = 10^10; half ties at best, twice is slower throughout
+        # sieving. Sieve plus count in seconds, fk at m = n/4, k = 2 / f at
+        # m = n - 60, at half / this / twice this limit: 0.0045 / 0.0041 /
+        # 0.0045 and 0.0065 / 0.0052 / 0.0046 at n = 10^6, 0.085 / 0.065 /
+        # 0.073 and 0.108 / 0.097 / 0.085 at n = 10^8, 1.71 / 1.36 / 1.30
+        # and 1.92 / 1.60 / 1.54 at n = 10^10. Twice gains 5% at n = 10^10,
+        # inside the spread of repeats, for twice the memory, and would pass
+        # the default cap from n = 3.5 * 10^11, so the limit stays.
         cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
-        table = build_sieve(ceil_cbrt(n * n), cap=cap)
+        limit = ceil_cbrt(n * n)
+        if family is Family.FK:
+            # fk reads the table only up to its cut-off, and not at all
+            # when k > n - m
+            limit = min(limit, _fk_cut_off(m, n, k))
+        if limit:
+            table = build_sieve(limit, cap=cap)
     # the one row of a one-cell table; k is None or at least 1 here
     [(*_, value)] = build_table_records((family,), (m, m), (n, n), k and (k, k), table)
     print(value)
@@ -384,7 +395,10 @@ _VERIFY_MODES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call. Parsing leaves it
+    unchanged: each parse fills a new Namespace."""
     parser = _Parser(
         prog="rpsets",
         description="Exact counts of relatively prime subsets of {m+1, ..., n}.",

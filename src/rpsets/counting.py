@@ -23,11 +23,11 @@ from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
 from itertools import islice, repeat
-from math import isqrt
+from math import comb, isqrt
 from operator import add, floordiv, getitem, sub
 from typing import NamedTuple
 
-from .exactmath import binomial
+from .exactmath import FACTOR_PAD, FACTOR_SLOPE, binomial
 from .sieve import SieveTable, prime_factors, squarefree_by_sign
 
 
@@ -72,13 +72,17 @@ def _mobius_sum(m: int, n: int, weights: dict[int, int], k: int | None) -> int:
     g(w) = 2^w - 1 when k is None and g(w) = C(w, k) otherwise.
 
     Widths are taken in ascending order, so the (possibly huge) accumulator
-    stays small while most of the terms are added.
+    stays small while most of the terms are added. The C(w, k) come from
+    math.comb directly when k*k < FACTOR_SLOPE * FACTOR_PAD, as binomial
+    would send every width to it anyway, which saves a Python call per
+    width; fk at n = 10^6 sums about 1,250 widths.
     """
+    choose = comb if k is not None and k * k < FACTOR_SLOPE * FACTOR_PAD else binomial
     total = 0
     for width in sorted(weights):
         weight = weights[width]
         if weight:
-            total += weight * ((1 << width) - 1 if k is None else binomial(width, k))
+            total += weight * ((1 << width) - 1 if k is None else choose(width, k))
     if total < 0:
         raise RuntimeError(f"negative count {total} for m={m}, n={n}")
     return total
@@ -188,21 +192,28 @@ def f_interval(m: int, n: int, table: SieveTable) -> int:
     return _mobius_sum(m, n, _interval_weights(m, n, n, table), None)
 
 
-def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
-    """Number of relatively prime k-element subsets of {m+1, ..., n}."""
-    _check_interval(m, n)
-    _check_k(k)
+def _fk_cut_off(m: int, n: int, k: int) -> int:
+    """The d up to which fk's sum reads mu and M; 0 when k > n - m, as an
+    (n-m)-element set has no k-subsets and the sum is empty."""
     if k > n - m:
-        return 0  # an (n-m)-element set has no k-subsets
+        return 0
     # floor(n/d) - floor(m/d) <= floor((n-m)/d) + 1, so once d*(k-1) > n-m
     # every binomial argument is below k and the terms are all zero.
     d_hi = n if k == 1 else min(n, (n - m) // (k - 1))
     # Raised to the end of its block of n//d: the added d are past the cut
     # and add nothing, and M(d_hi) is then one of the points M(n//j) that
     # the blocks read anyway, not a third family of memo points d_hi//j.
-    d_hi = n // (n // d_hi)
-    weights = _interval_weights(m, n, d_hi, table)
-    return _mobius_sum(m, n, weights, k)
+    return n // (n // d_hi)
+
+
+def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
+    """Number of relatively prime k-element subsets of {m+1, ..., n}."""
+    _check_interval(m, n)
+    _check_k(k)
+    d_hi = _fk_cut_off(m, n, k)
+    if not d_hi:
+        return 0
+    return _mobius_sum(m, n, _interval_weights(m, n, d_hi, table), k)
 
 
 def phi_interval(m: int, n: int, table: SieveTable) -> int:

@@ -13,6 +13,11 @@ from operator import lt, mod
 
 from .sieve import _primes_upto
 
+# binomial builds C(n, k) from its prime factors when j*j >= FACTOR_SLOPE *
+# (n + FACTOR_PAD), j = min(k, n - k), and calls math.comb below that, so
+# every n takes math.comb when k*k < FACTOR_SLOPE * FACTOR_PAD.
+FACTOR_SLOPE, FACTOR_PAD = 64, 4096
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) with C(n, 0) = 1 and 0 whenever n < 0 or k > n.
@@ -32,7 +37,7 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k > n:
         return 0
     j = min(k, n - k)
-    if j * j >= 64 * (n + 4096):
+    if j * j >= FACTOR_SLOPE * (n + FACTOR_PAD):
         return _binomial_by_factors(n, j)
     return math.comb(n, k)
 

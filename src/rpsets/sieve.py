@@ -7,9 +7,10 @@ n = 10^12, holds 300 MB.
 """
 
 import math
+import sys
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, compress
+from itertools import compress
 from typing import NamedTuple
 
 # Admits the ceil(n^(2/3)) table of every n up to 10^12.
@@ -20,8 +21,15 @@ DEFAULT_LIMIT_CAP = 10**8
 _FLIP = bytes.maketrans(b"\x01\xff", b"\xff\x01")
 _ONLY_PLUS = bytes.maketrans(b"\xff", b"\x00")
 _ONLY_MINUS = bytes.maketrans(b"\x01", b"\x00")
-# M is summed in runs of this many entries, so no temporary spans the table.
-_RUN = 1 << 16
+# mu(n) + 1 from mu(n) mod 256; and a 16-bit lane's high byte with its top
+# bit flipped, which takes v + 2^15 to v in two's complement.
+_PLUS_ONE = bytes.maketrans(b"\xff\x00\x01", b"\x00\x01\x02")
+_TOP_BIT = bytes(b ^ 0x80 for b in range(256))
+# M is summed in runs of this many entries, so no temporary spans the table
+# (each is a 16 KB big integer or smaller), and no run comes near the 2^15
+# that _mertens_run refuses. Runs of 2^12 to 2^14 build at the same speed.
+_RUN = 1 << 13
+_ONES = int.from_bytes(b"\x01\x00" * _RUN, "little")  # 1 in each of _RUN lanes
 
 # (size, primes): every prime below size, ascending. _primes_upto regrows it
 # on demand, so importing the module sieves nothing; build_sieve and
@@ -39,10 +47,11 @@ class SieveTable(NamedTuple):
 
     Arrays indexed directly by n: mobius[n] is mu(n), typecode 'b', and
     mertens[n] is M(n) = mu(1) + ... + mu(n), typecode 'h', with mobius[0] =
-    mertens[0] = 0. |M(n)| <= 3448 for n <= 10^8, and a value that does not
-    fit 16 bits raises OverflowError rather than wrap. The counting functions
-    use the table only as a cache of these values, so it may be shorter than
-    the n they are asked about.
+    mertens[0] = 0. |M(n)| <= 3448 for n <= 10^8. M is summed _RUN = 2^13
+    entries at a time, and a run that starts at an |M| of 2^15 - 2^13 or
+    more raises OverflowError, so a value that does not fit 16 bits never
+    wraps. The counting functions use the table only as a cache of these
+    values, so it may be shorter than the n they are asked about.
     """
 
     limit: int
@@ -74,7 +83,9 @@ def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
     mu starts at 1 on 1..limit, as bytes mod 256; each prime p flips the sign
     on the multiples of p and zeroes the multiples of p*p, one C-level pass
     each, which leaves mu(n) = (-1)^r for n squarefree with r prime factors
-    and 0 otherwise. Both arrays are allocated at their exact length.
+    and 0 otherwise. M is then summed in runs of _RUN entries, each a few
+    big-integer passes (see _mertens_run) written straight into the bytes of
+    the 'h' array. Both arrays are allocated at their exact length.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -91,10 +102,42 @@ def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
     memoryview(mobius).cast("B")[:] = signs
     del signs
     mertens = array("h", [0]) * (limit + 1)
-    for lo in range(0, limit, _RUN):
-        hi = min(lo + _RUN, limit)
-        mertens[lo : hi + 1] = array("h", accumulate(mobius[lo + 1 : hi + 1], initial=mertens[lo]))
+    lanes = memoryview(mertens).cast("B")
+    carry = 0
+    for lo in range(1, limit + 1, _RUN):
+        hi = min(lo + _RUN, limit + 1)
+        lanes[2 * lo : 2 * hi], carry = _mertens_run(mobius[lo:hi].tobytes(), carry)
+    if sys.byteorder == "big":
+        mertens.byteswap()
     return SieveTable(limit=limit, mobius=mobius, mertens=mertens)
+
+
+def _mertens_run(mu: bytes, carry: int) -> tuple[bytearray, int]:
+    """The sums carry + mu[0] + ... + mu[i], i < R = len(mu) <= _RUN, as
+    16-bit little-endian two's complement lanes, and the last of them, T;
+    mu holds mu(n) mod 256 as bytes.
+
+    With X = 2^16, the lanes of mu + 1, less 1 in every lane, plus carry,
+    give S = carry + Sigma mu[i] X^i, and the sums are the lanes of
+    Q = (T X^R - S) / (X - 1), as Q (X - 1) telescopes to T X^R - S. With
+    divmod(S, X - 1) = (q, r), r is T read as a signed residue, as
+    X = 1 mod X - 1, and Q = T * ones - q, less one more when T < 0.
+    2^15 added to every lane keeps each in 0..X - 1, so none borrows when Q
+    is written out, and flipping the top bits takes it off again. Each step
+    is linear in R. A lane can reach |carry| + R, so once that is 2^15 or
+    more this raises OverflowError rather than risk a wrap.
+    """
+    size = len(mu)
+    if abs(carry) + size >= 1 << 15:
+        raise OverflowError(f"Mertens values from {carry} over {size} entries may not fit 16 bits")
+    spread = bytearray(2 * size)
+    spread[::2] = mu.translate(_PLUS_ONE)
+    ones = _ONES >> 16 * (_RUN - size)
+    q, r = divmod(int.from_bytes(spread, "little") - ones + carry, 0xFFFF)
+    last = r if r < 1 << 15 else r - 0xFFFF
+    lanes = bytearray(((last + (1 << 15)) * ones - q - (last < 0)).to_bytes(2 * size, "little"))
+    lanes[1::2] = lanes[1::2].translate(_TOP_BIT)
+    return lanes, last
 
 
 def squarefree_by_sign(top: int, table: SieveTable) -> tuple[list[int], list[int]]:

@@ -24,7 +24,7 @@ from rpsets.cli import (
     parse_range,
     render_records,
 )
-from rpsets.counting import Family, count_plane, f_interval
+from rpsets.counting import Family, count_plane, f_interval, fk_interval
 from rpsets.exactmath import decimal_string
 from rpsets.oracle import oracle_count
 from rpsets.sieve import build_sieve
@@ -74,6 +74,59 @@ def test_default_sieve_cap_admits_compute_up_to_n_10_12(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     assert (code, out) == (EXIT_CAPACITY, "")
     assert err == "error: sieve limit 100000001 exceeds capacity cap 100000000\n"
+
+
+def test_compute_fk_sieves_only_up_to_its_cut_off(capsys, monkeypatch):
+    limits = []
+
+    def record(limit, cap):
+        limits.append(limit)
+        return build_sieve(limit, cap)
+
+    monkeypatch.setattr(cli, "build_sieve", record)
+    m, n = 999_999_999_000, 10**12
+    argv = ["compute", "fk", "--m", str(m), "--n", str(n), "--k", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    # every d past (n - m) // 2 = 500 has a width below 3, so its term is 0
+    assert limits == [500]
+    assert int(out) == fk_interval(m, n, 3, build_sieve(50))
+    # k > n - m: the count is 0 and there is nothing to sieve
+    argv[-1] = "1001"
+    assert run_cli(capsys, *argv) == (EXIT_OK, "0\n", "")
+    assert limits == [500]
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "compute", "f", "--m", "2", "--n", "6") == (EXIT_OK, "9\n", "")
+    assert run_cli(capsys, "compute", "phi", "--m", "0", "--n", "1") == (EXIT_OK, "1\n", "")
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_calls_share_the_parser_but_no_options(capsys, tmp_path):
+    # a usage error midway through a parse leaves nothing behind
+    code, out, err = run_cli(capsys, "compute", "fk", "--m", "2", "--k", "2")
+    assert (code, out) == (EXIT_USAGE, "") and "--n" in err
+    assert run_cli(capsys, "compute", "fk", "--m", "2", "--n", "6", "--k", "2") == (
+        EXIT_OK, "4\n", "")
+    # nor does the k of the call before, which f would refuse
+    assert run_cli(capsys, "compute", "f", "--m", "2", "--n", "6") == (EXIT_OK, "9\n", "")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    argv = ["table", "--families", "F", "--m", "0", "--n", "1..2"]
+    code, out, _ = run_cli(capsys, "--config", str(cfg), *argv)
+    assert (code, out) == (EXIT_OK, "family,m,n,k,value\nF,0,1,,1\nF,0,2,,2\n")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out) == [{"family": "F", "m": 0, "n": n, "k": None, "value": v}
+                               for n, v in ((1, "1"), (2, "2"))]
+
+
+def test_verify_modes_are_looked_up_when_they_run(capsys, monkeypatch):
+    assert run_cli(capsys, "verify", "bounds", "--n-max", "1")[0] == EXIT_OK
+    monkeypatch.setitem(cli._VERIFY_MODES, "bounds", lambda args, cfg: print("stub") or EXIT_OK)
+    assert run_cli(capsys, "verify", "bounds") == (EXIT_OK, "stub\n", "")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpsets import counting
 from rpsets.cli import main
 from rpsets.counting import (
     Family,
@@ -248,6 +249,23 @@ def test_table_size_does_not_change_counts(cell):
     full = all_families(m, n, k, TABLE)
     assert all_families(m, n, k, build_sieve(1)) == full
     assert all_families(m, n, k, build_sieve(ceil_cbrt(n * n))) == full
+
+
+@pytest.mark.parametrize("k", [511, 512, 513])
+def test_fk_on_both_sides_of_the_math_comb_switch(k, monkeypatch):
+    # binomial(w, k) calls math.comb at every w when k*k < 64*4096 = 512^2,
+    # so the sum calls math.comb itself for k = 511, and binomial from 512
+    widths = []
+
+    def counted(w, j):
+        widths.append(w)
+        return binomial(w, j)
+
+    monkeypatch.setattr(counting, "binomial", counted)
+    for m, n in ((0, 2000), (700, 2900)):
+        expected = sum(TABLE.mobius[d] * math.comb(n // d - m // d, k) for d in range(1, n + 1))
+        assert fk_interval(m, n, k, TABLE) == expected, (m, n)
+    assert bool(widths) == (k >= 512)
 
 
 def test_count_query_validation():

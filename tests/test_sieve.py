@@ -1,6 +1,7 @@
 import math
 import sys
 from array import array
+from itertools import accumulate
 
 import pytest
 
@@ -122,6 +123,37 @@ def test_mertens_is_the_prefix_sum_of_mobius():
     for n in range(LIMIT + 1):
         running += TABLE.mobius[n]
         assert TABLE.mertens[n] == running, n
+
+
+@pytest.mark.parametrize(
+    "limit", [1, 2, sieve._RUN - 1, sieve._RUN, sieve._RUN + 1, 2 * sieve._RUN + 1]
+)
+def test_mertens_runs_match_accumulate_at_run_edges(limit):
+    table = build_sieve(limit)
+    assert table.mertens.tolist() == list(accumulate(table.mobius))
+
+
+def test_mertens_run_sums_from_its_carry():
+    mu = bytes([1, 255, 255, 0, 1, 255])  # mu(n) mod 256
+    lanes, last = sieve._mertens_run(mu, -7)
+    assert array("h", lanes).tolist() == [-6, -7, -8, -8, -7, -8] == list(accumulate(
+        [1, -1, -1, 0, 1, -1], initial=-7))[1:]
+    assert last == -8
+
+
+@pytest.mark.parametrize("carry", [2**15 - 6, -(2**15) + 6, 2**15 + 100])
+def test_mertens_run_refuses_sums_that_may_not_fit_16_bits(carry):
+    # |carry| + R >= 2^15 for R = 6 entries, though the sums of zeros from
+    # 2^15 - 6 would fit
+    with pytest.raises(OverflowError):
+        sieve._mertens_run(bytes(6), carry)
+
+
+def test_mertens_run_keeps_sums_just_inside_16_bits():
+    lanes, last = sieve._mertens_run(b"\x01" * 6, 2**15 - 7)
+    assert array("h", lanes).tolist() == list(range(2**15 - 6, 2**15)) and last == 2**15 - 1
+    lanes, last = sieve._mertens_run(b"\xff" * 6, -(2**15) + 7)
+    assert array("h", lanes)[-1] == last == -(2**15) + 1
 
 
 def test_squarefree_by_sign_splits_the_table():
