@@ -30,7 +30,6 @@ from .sieve import (
     build_sieve,
     divisors,
     prime_factors,
-    smallest_prime_divisor,
 )
 
 __version__ = "0.1.0"
@@ -61,6 +60,5 @@ __all__ = [
     "phi_interval",
     "phik_interval",
     "prime_factors",
-    "smallest_prime_divisor",
     "__version__",
 ]

@@ -38,7 +38,7 @@ from .sieve import (
     DEFAULT_LIMIT_CAP,
     SieveTable,
     build_sieve,
-    smallest_prime_divisor,
+    divisors,
 )
 
 EXIT_OK = 0
@@ -164,7 +164,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON, UTF-8 or int() digit limit
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
@@ -216,7 +216,7 @@ def _run_compute(args, cfg: dict) -> int:
 
 def _check_work(items: int, unit: str) -> None:
     if items > WORK_CAP:
-        raise CapacityError(f"{items} {unit} exceed work cap {WORK_CAP}")
+        raise CapacityError(f"{decimal_string(items)} {unit} exceed work cap {WORK_CAP}")
 
 
 def _run_table(args, cfg: dict) -> int:
@@ -325,7 +325,7 @@ def _verify_bounds(args, cfg: dict) -> int:
 
     def check(n, failures):
         plane = count_plane(n)
-        p = smallest_prime_divisor(n) if n >= 2 else None  # T3 and T4 need one
+        p = divisors(n)[1] if n >= 2 else None  # n's least prime; T3 and T4 need one
         reports = []
         for m in range(n):
             ks = range(1, n - m + 1)
@@ -453,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapacityError, MemoryError) as exc:
+    except (CapacityError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except Exception as exc:  # a bug in rpsets, not a user mistake

@@ -6,6 +6,7 @@ steps that CPython does in quadratic time, C(n, k) for k near n/2 and the
 int-to-decimal conversion, on subquadratic paths.
 """
 
+import functools
 import math
 from bisect import bisect_right
 from itertools import compress, repeat
@@ -89,22 +90,10 @@ def decimal_string(x: int) -> str:
     import decimal
 
     two = decimal.Decimal(2)
-    powers: dict[int, decimal.Decimal] = {}
 
+    @functools.cache
     def power_of_two(w: int) -> decimal.Decimal:
-        result = powers.get(w)
-        if result is None:
-            if w <= 128:
-                result = two**w
-            elif w - 1 in powers:
-                result = powers[w - 1] * 2
-            else:
-                half = w >> 1
-                # the smaller half first, so that w - half can often take
-                # the doubling branch above
-                result = power_of_two(half) * power_of_two(w - half)
-            powers[w] = result
-        return result
+        return two**w if w <= 128 else power_of_two(w >> 1) * power_of_two(w - (w >> 1))
 
     def convert(v: int, w: int) -> decimal.Decimal:
         if w <= 128:

