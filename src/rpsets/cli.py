@@ -193,15 +193,19 @@ def _run_compute(args, cfg: dict) -> int:
     table = None
     if family in SIEVED_FAMILIES:
         # M(x) for x above n^(2/3) costs less by its recursion than by
-        # sieving. Sieve plus count in seconds, fk at m = n/4, k = 2 / f at
-        # m = n - 60, at half / this / twice this limit: 0.0045 / 0.0041 /
-        # 0.0045 and 0.0065 / 0.0052 / 0.0046 at n = 10^6, 0.085 / 0.065 /
-        # 0.073 and 0.108 / 0.097 / 0.085 at n = 10^8, 1.71 / 1.36 / 1.30
-        # and 1.92 / 1.60 / 1.54 at n = 10^10. Twice gains 5% at n = 10^10,
-        # inside the spread of repeats, for twice the memory, and would pass
-        # the default cap from n = 3.5 * 10^11, so the limit stays.
+        # sieving, up to a small multiple of it. Sieve plus count in
+        # seconds, fk at m = n/4, k = 2 / f at m = n - 60, at 1/2, 1, 2 and
+        # 4 times ceil(n^(2/3)): 0.0043 / 0.0032 / 0.0027 / 0.0028 and
+        # 0.0065 / 0.0050 / 0.0040 / 0.0037 at n = 10^6, 0.093 / 0.068 /
+        # 0.064 / 0.065 and 0.123 / 0.094 / 0.086 / 0.089 at n = 10^8,
+        # 1.62 / 1.22 / 1.27 / 1.21 and 1.71 / 1.43 / 1.36 / 1.51 at
+        # n = 10^10 (2 vCPUs, CPython 3.11, minimum of 41, 9 and 3 rounds).
+        # Twice is fastest in four of the six and within 8% in the others;
+        # no other multiple is faster at all three n.
         cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
-        limit = ceil_cbrt(n * n)
+        need = ceil_cbrt(n * n)
+        # past the cap, need itself is asked for, so the error names it
+        limit = min(2 * need, max(need, cap))
         if family is Family.FK:
             # fk reads the table only up to its cut-off, and not at all
             # when k > n - m

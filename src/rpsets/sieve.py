@@ -1,9 +1,13 @@
-"""Mobius and Mertens tables and the list of primes they come from, and
-factorization of single integers by trial division.
+"""Mobius and Mertens tables, the list of primes, and factorization of
+single integers by trial division.
 
-The tables are typed arrays, one signed byte per mu(n) and two per M(n), so
-a table of the default cap of 10^8 entries, which is ceil(n^(2/3)) for
-n = 10^12, holds 300 MB.
+mu is sieved by cofactors: with r = isqrt(limit), each n <= limit has at
+most one prime factor above r, found as the least divisor of n above r,
+and the primes up to r do the rest. So a table needs only the primes up to
+r, and O(r) Python steps per block of 2^20 entries. The tables are typed
+arrays, one signed byte per mu(n) and two per M(n), so a table of the
+default cap of 10^8 entries, which is ceil(n^(2/3)) for n = 10^12, holds
+300 MB.
 """
 
 import math
@@ -30,11 +34,17 @@ _TOP_BIT = bytes(b ^ 0x80 for b in range(256))
 # that _mertens_run refuses. Runs of 2^12 to 2^14 build at the same speed.
 _RUN = 1 << 13
 _ONES = int.from_bytes(b"\x01\x00" * _RUN, "little")  # 1 in each of _RUN lanes
+# mu is sieved in blocks of this many entries, so that the strided writes
+# into a block stay in cache: at 10^8, blocks of 2^20 take the cofactor
+# writes from 6.9 s to 1.7 s and the sign flips from 2.4 s to 0.8 s.
+# Blocks of 2^19 to 2^22 build at about the same speed.
+_BLOCK = 1 << 20
 
 # (size, primes): every prime below size, ascending. _primes_upto regrows it
-# on demand, so importing the module sieves nothing; build_sieve and
-# exactmath.binomial share it. size is kept because the last prime falls
-# short of what the store covers.
+# on demand, so importing the module sieves nothing; build_sieve reads the
+# primes up to the square root of its limit, exactmath.binomial those up to
+# its n. size is kept because the last prime falls short of what the store
+# covers.
 _prime_store: tuple[int, list[int]] = (0, [])
 
 
@@ -59,6 +69,19 @@ class SieveTable(NamedTuple):
     mertens: array
 
 
+def _strike_composites(flags: bytearray, composite: int) -> bytearray:
+    """flags with the byte composite at every composite index, by the sieve
+    of Eratosthenes: each p from 2 to sqrt(len(flags) - 1) whose flag is
+    not yet composite is prime, and one C-level slice write marks its
+    multiples from p*p. Indexes 0 and 1 are left as they are."""
+    size = len(flags)
+    mark = bytes([composite])
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if flags[p] != composite:
+            flags[p * p :: p] = mark * len(range(p * p, size, p))
+    return flags
+
+
 def _primes_upto(n: int) -> list[int]:
     """Every prime up to n, ascending, and maybe some above it, from a sieve
     of Eratosthenes that is rebuilt at least twice as long whenever it is
@@ -67,37 +90,58 @@ def _primes_upto(n: int) -> list[int]:
     size, primes = _prime_store
     if size <= n:
         size = max(n + 1, 2 * size)
-        flags = bytearray([1]) * size
+        flags = _strike_composites(bytearray([1]) * size, 0)
         flags[:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if flags[p]:
-                flags[p * p :: p] = bytes(len(range(p * p, size, p)))
         primes = list(compress(range(size), flags))
         _prime_store = size, primes
     return primes
 
 
 def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
-    """Build both tables from the shared list of primes.
+    """Build both tables from one Eratosthenes pass and the primes up to
+    r = isqrt(limit).
 
-    mu starts at 1 on 1..limit, as bytes mod 256; each prime p flips the sign
-    on the multiples of p and zeroes the multiples of p*p, one C-level pass
-    each, which leaves mu(n) = (-1)^r for n squarefree with r prime factors
-    and 0 otherwise. M is then summed in runs of _RUN entries, each a few
-    big-integer passes (see _mertens_run) written straight into the bytes of
-    the 'h' array. Both arrays are allocated at their exact length.
+    mu is sieved as bytes mod 256. Every n <= limit has at most one prime
+    factor q > r, and it has one exactly when its least divisor above r is
+    prime; that divisor is then q. So the bytes start as -1 at the primes
+    above r and 1 elsewhere, and for each cofactor c = 1 .. limit // (r+1),
+    ascending, one C-level slice write copies the byte of j > r to c*j;
+    the last write to n comes from its least divisor above r. Each prime
+    p <= r then flips the sign on the multiples of p and zeroes the
+    multiples of p*p, which leaves mu(n) = (-1)^k for n squarefree with k
+    prime factors and 0 otherwise. The writes and flips go block by block
+    of _BLOCK entries, O(r) Python steps per block, and the shared prime
+    list grows only to r. M is then summed in runs of _RUN entries, each a
+    few big-integer passes (see _mertens_run) written straight into the
+    bytes of the 'h' array. Both arrays are allocated at their exact
+    length.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
     if limit > cap:
         raise CapacityError(f"sieve limit {limit} exceeds capacity cap {cap}")
-    signs = bytearray(b"\x01") * (limit + 1)
+    root = math.isqrt(limit)
+    signs = _strike_composites(bytearray(b"\xff") * (limit + 1), 0x01)
+    signs[: root + 1] = b"\x01" * (root + 1)
     signs[0] = 0
-    primes = _primes_upto(limit)
-    for p in primes[: bisect_right(primes, limit)]:
-        signs[p::p] = signs[p::p].translate(_FLIP)
-        if p * p <= limit:
-            signs[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
+    # the write for c = 1 would copy signs onto itself; later writes read
+    # the marks of j <= limit // 2 as they were before any of them
+    marks = signs[: limit // 2 + 1]
+    primes = _primes_upto(root)
+    primes = primes[: bisect_right(primes, root)]
+    step = root + 1
+    for lo in range(0, limit + 1, _BLOCK):
+        hi = min(lo + _BLOCK, limit + 1)
+        for c in range(2, (hi - 1) // step + 1):
+            j = max(step, -(-lo // c))
+            signs[c * j : hi : c] = marks[j : (hi - 1) // c + 1]
+        for p in primes:
+            start = max(p, lo + -lo % p)
+            signs[start:hi:p] = signs[start:hi:p].translate(_FLIP)
+            square = p * p
+            start = max(square, lo + -lo % square)
+            signs[start:hi:square] = bytes(len(range(start, hi, square)))
+    del marks
     mobius = array("b", [0]) * (limit + 1)
     memoryview(mobius).cast("B")[:] = signs
     del signs

@@ -98,6 +98,32 @@ def test_compute_fk_sieves_only_up_to_its_cut_off(capsys, monkeypatch):
     assert limits == [500]
 
 
+def test_compute_sieves_to_twice_n_to_the_two_thirds_inside_its_cap(capsys, monkeypatch, tmp_path):
+    limits = []
+
+    def record(limit, cap):
+        limits.append(limit)
+        return build_sieve(limit, cap)
+
+    monkeypatch.setattr(cli, "build_sieve", record)
+    # ceil((10^6)^(2/3)) = 10^4, and fk's cut-off is n itself
+    argv = ["compute", "fk", "--m", "250000", "--n", "1000000", "--k", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert limits == [20_000]
+    # a cap between the two is the limit; the table's size leaves the value as it is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sieve_cap": 15_000}))
+    assert run_cli(capsys, "--config", str(cfg), *argv) == (EXIT_OK, out, "")
+    assert limits == [20_000, 15_000]
+    # a cap below 10^4 refuses, naming 10^4
+    cfg.write_text(json.dumps({"sieve_cap": 9_999}))
+    assert run_cli(capsys, "--config", str(cfg), *argv) == (
+        EXIT_CAPACITY, "", "error: sieve limit 10000 exceeds capacity cap 9999\n"
+    )
+    assert int(out) == fk_interval(250_000, 10**6, 2, build_sieve(1000))
+
+
 def test_the_parser_is_built_once_per_process(capsys):
     cli.build_parser.cache_clear()
     assert run_cli(capsys, "compute", "f", "--m", "2", "--n", "6") == (EXIT_OK, "9\n", "")

@@ -65,7 +65,7 @@ def test_mobius_frozen_values():
 def tables_from_every_flag_state(monkeypatch):
     """build_sieve(LIMIT) from a cold prime store, from a store that a
     factored binomial grew far past LIMIT, and from a store shorter than
-    LIMIT."""
+    sqrt(LIMIT)."""
     monkeypatch.setattr(sieve, "_prime_store", (0, []))
     yield "cold", build_sieve(LIMIT)
     binomial(100_000, 50_000)
@@ -73,7 +73,7 @@ def tables_from_every_flag_state(monkeypatch):
     yield "grown", build_sieve(LIMIT)
     monkeypatch.setattr(sieve, "_prime_store", (0, []))
     build_sieve(LIMIT // 8)
-    assert sieve._prime_store[0] <= LIMIT
+    assert sieve._prime_store[0] <= math.isqrt(LIMIT)
     yield "short", build_sieve(LIMIT)
 
 
@@ -86,12 +86,49 @@ def test_mobius_against_trial_division(monkeypatch):
 
 
 def test_tables_of_every_small_limit_are_prefixes():
-    # build_sieve cuts the shared prime list at limit, which is itself the
-    # last prime it must use whenever limit is prime
+    # every limit up to 299 puts r = isqrt(limit) at each value up to 17,
+    # each with and without primes in (r, limit] and cofactors past 1
     for limit in range(1, 300):
         table = build_sieve(limit)
         assert table.mobius == TABLE.mobius[: limit + 1], limit
         assert table.mertens == TABLE.mertens[: limit + 1], limit
+
+
+def test_tables_at_the_square_root_seams():
+    # build_sieve splits n at r = isqrt(limit): at most one prime factor
+    # above r, the rest below. p*p - 1, p*p and p*p + 1 move r across p,
+    # and p*q ends the table on a product whose larger prime is above r.
+    primes = [p for p in range(2, 111) if prime_factors(p) == [(p, 1)]]
+    pairs = zip(primes, primes[1:])
+    limits = sorted({x for p, q in pairs for x in (p * p - 1, p * p, p * p + 1, p * q)})
+    expected = [0] + [mobius_by_trial_division(n) for n in range(1, limits[-1] + 1)]
+    for limit in limits:
+        table = build_sieve(limit)
+        assert table.mobius.tolist() == expected[: limit + 1], limit
+        assert table.mertens.tolist() == list(accumulate(expected[: limit + 1])), limit
+        if limit <= LIMIT:
+            assert table.mobius == TABLE.mobius[: limit + 1], limit
+            assert table.mertens == TABLE.mertens[: limit + 1], limit
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1000])
+def test_blocks_of_any_size_give_the_same_tables(monkeypatch, block):
+    # blocks only group the writes for the cache, so splitting a cofactor's
+    # writes or a prime's multiples at any point changes nothing
+    monkeypatch.setattr(sieve, "_BLOCK", block)
+    for limit in (1, 2, 63, 64, 65, 999, 1000, 1001, LIMIT):
+        table = build_sieve(limit)
+        assert table.mobius == TABLE.mobius[: limit + 1], limit
+        assert table.mertens == TABLE.mertens[: limit + 1], limit
+
+
+def test_a_cold_build_grows_the_prime_store_only_to_its_square_root(monkeypatch):
+    # the tables need only the primes up to isqrt(limit), so a large build
+    # leaves no list of all the primes below it
+    for limit in (LIMIT, 10**6):
+        monkeypatch.setattr(sieve, "_prime_store", (0, []))
+        build_sieve(limit)
+        assert sieve._prime_store[0] <= math.isqrt(limit) + 1, limit
 
 
 def test_binomial_after_a_small_sieve(monkeypatch):
