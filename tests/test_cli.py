@@ -574,6 +574,38 @@ def test_verify_bounds_and_identities_report_failed_cells(capsys, monkeypatch):
     assert out.splitlines()[1:3] == ["F,0,1,,1,3", "F,0,2,,3,9"]
 
 
+def test_verify_reports_failed_k_cells(capsys, monkeypatch):
+    # fk(0, 3, 2) is read by T2 at (0, 3) and by the FK identities of every
+    # (m, n) with (m // d, n // d) = (0, 3); phik(1, 3, 1) only by T4
+    def off_plane(n):
+        plane = count_plane(n)
+        if n == 3:
+            plane.fk[0][2] += 5
+            plane.phik[1][1] += 7
+        return plane
+
+    monkeypatch.setattr(cli, "count_plane", off_plane)
+    code, out, _ = run_cli(capsys, "verify", "bounds", "--n-max", "4")
+    assert code == EXIT_VERIFY_FAILED
+    assert out.splitlines() == [
+        "family,m,n,k,expected,actual",
+        "T2,0,3,2,0..9,-5",
+        "T4,1,3,1,0..3,-7",
+        "verify bounds: checked 58 bound reports, 2 failures",
+    ]
+    code, out, _ = run_cli(capsys, "verify", "identities", "--n-max", "7")
+    assert code == EXIT_VERIFY_FAILED
+    assert out.splitlines() == [
+        "family,m,n,k,expected,actual",
+        "FK,0,3,2,3,8",
+        "FK,0,6,2,15,20",
+        "FK,1,6,2,10,15",
+        "FK,0,7,2,21,26",
+        "FK,1,7,2,15,20",
+        "verify identities: checked 112 identities, 5 failures",
+    ]
+
+
 def test_only_verify_oracle_sieves(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sieve_cap": 1}))
@@ -780,6 +812,18 @@ CORPUS = {
         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
     "compute f --m 0 --n 10000000000000":
         "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "verify bounds --n-max 48":
+        "39dafaa4066bc9e58de129a2ef4ae2ce4142e631fc6588bc23ff2a0bb59ef6aa",
+    "verify identities --n-max 48 --k-max 1":
+        "873d353b2c76a66e33ffca120e8c75d2db04be4fd7b29f8a14d6998c4b0e1528",
+    # k-max past every n - m
+    "verify identities --n-max 30 --k-max 40":
+        "16948ccf5308ecb7a1d5c41266e9c7f3be29852e1813ba68142dbe768de56ef2",
+    # m from above 0, k from above 1 and past n - m, one K family
+    "table --families FK --m 2..5 --n 4..9 --k 3..8 --format csv":
+        "4f2583a99392fd6ad49f3f32a3ca0184d34100f250d2980c8e52c7c35cb91e1c",
+    "table --families PHIK --m 1..4 --n 3..8 --k 2..9 --format json":
+        "534c4447ca52b0a3527b81670fa43d9fe01ddfb8c5c3932e970415b712dc8697",
 }
 
 
