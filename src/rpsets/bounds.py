@@ -5,14 +5,16 @@ the correction term minus the exact count. The theorems assert 0 <= gap and
 gap <= upper for an explicit upper; both comparisons are exact integer
 arithmetic, and a False flag in a report is a bug detector, not a tolerance.
 
-The checks take the exact count, and the partition sums a count function
-(a, b) -> count over {a+1, ..., b}, so they work with any source of counts:
+The checks take the exact counts, those of fk and phik as one row over k
+per interval, and the partition sums a count function (a, b) -> count, or
+row of counts, over {a+1, ..., b}, so they work with any source of counts:
 the *_interval kernel or the planes of counting.count_plane.
 """
 
+from operator import add
 from typing import NamedTuple
 
-from .counting import _check_interval, _check_k
+from .counting import _check_interval
 from .exactmath import binomial
 
 
@@ -43,17 +45,31 @@ def check_f(m: int, n: int, f: int) -> BoundReport:
     return BoundReport("T1", m, n, None, gap, upper, gap >= 0, gap <= upper)
 
 
-def check_fk(m: int, n: int, k: int, fk: int) -> BoundReport:
-    """Gap of fk = fk(m, n, k) below C(n-m, k) - C(floor(n/2) - floor(m/2), k)."""
+def _choose(rows, x: int, size: int) -> list[int]:
+    """C(x, k) for k = 1 .. size, from rows[x] = [C(x, 0), C(x, 1), ...],
+    which stops at C(x, x) or at C(x, size) or past it; C(x, k) = 0 for
+    k > x."""
+    row = rows[x]
+    return row[1 : size + 1] + [0] * (size + 1 - len(row))
+
+
+def check_fk(m: int, n: int, fk: list[int], rows) -> list[BoundReport]:
+    """Gap of fk[k] = fk(m, n, k) below C(n-m, k) - C(floor(n/2) -
+    floor(m/2), k), one report per k = 1 .. len(fk) - 1: fk is laid out as
+    a row of count_plane, and fk[0] is not read. The binomials come from
+    rows, as for _choose, so rows = pascal_rows(n + 2) serves every cell up
+    to n."""
     _check_interval(m, n)
-    _check_k(k)
-    gap = binomial(n - m, k) - binomial(n // 2 - m // 2, k) - fk
-    upper = n * binomial((n - m) // 3 + 2, k)
-    tight = n * binomial((n - m) // 3, k)
-    return BoundReport(
-        "T2", m, n, k, gap, upper, gap >= 0, gap <= upper,
-        tight_upper_holds=gap <= tight,
+    size = len(fk) - 1
+    w = n - m
+    total, below, upper, tight = (
+        _choose(rows, x, size) for x in (w, n // 2 - m // 2, w // 3 + 2, w // 3)
     )
+    reports = []
+    for k, t, b, f, u, c in zip(range(1, size + 1), total, below, fk[1:], upper, tight):
+        gap, u = t - b - f, n * u
+        reports.append(BoundReport("T2", m, n, k, gap, u, gap >= 0, gap <= u, gap <= n * c))
+    return reports
 
 
 def _check_p(n: int, p: int) -> None:
@@ -71,33 +87,42 @@ def check_phi(m: int, n: int, phi: int, p: int) -> BoundReport:
     return BoundReport("T3", m, n, None, gap, upper, gap >= 0, gap <= upper)
 
 
-def check_phik(m: int, n: int, k: int, phik: int, p: int) -> BoundReport:
-    """Gap of phik = phik(m, n, k) below C(n-m, k) - C(n/p - floor(m/p), k),
-    p as for check_phi."""
+def check_phik(m: int, n: int, phik: list[int], p: int, rows) -> list[BoundReport]:
+    """Gap of phik[k] = phik(m, n, k) below C(n-m, k) - C(n/p - floor(m/p),
+    k), one report per k = 1 .. len(phik) - 1; p as for check_phi, phik and
+    rows as for check_fk."""
     _check_interval(m, n)
-    _check_k(k)
     _check_p(n, p)
-    gap = binomial(n - m, k) - binomial(n // p - m // p, k) - phik
-    upper = n * binomial((n - m) // (p + 1) + 1, k)
-    return BoundReport("T4", m, n, k, gap, upper, gap >= 0, gap <= upper)
+    size = len(phik) - 1
+    w = n - m
+    total, below, upper = (_choose(rows, x, size) for x in (w, n // p - m // p, w // (p + 1) + 1))
+    reports = []
+    for k, t, b, f, u in zip(range(1, size + 1), total, below, phik[1:], upper):
+        gap, u = t - b - f, n * u
+        reports.append(BoundReport("T4", m, n, k, gap, u, gap >= 0, gap <= u))
+    return reports
 
 
-def partition_sum_f(m: int, n: int, f) -> int:
-    """Sum over d of f(floor(m/d), floor(n/d)), the gcd-class decomposition
-    of all nonempty subsets of {m+1, ..., n}; f(a, b) counts the relatively
-    prime subsets of {a+1, ..., b}, and only the d with floor(n/d) >
-    floor(m/d) count. Both quotients are constant on blocks of consecutive
-    d, so f is called once per block, O(sqrt(n)) times."""
+def _gcd_classes(m: int, n: int):
+    """(count, floor(m/d), floor(n/d)) for each block of consecutive d with
+    common quotients and floor(n/d) > floor(m/d), d ascending; the others
+    hold no element of {m+1, ..., n}. There are O(sqrt(n)) blocks."""
     _check_interval(m, n)
-    total = 0
     d = 1
     while d <= n:
         md, nd = m // d, n // d
         end = min(n // nd, m // md if md else n)
         if nd > md:
-            total += (end - d + 1) * f(md, nd)
+            yield end - d + 1, md, nd
         d = end + 1
-    return total
+
+
+def partition_sum_f(m: int, n: int, f) -> int:
+    """Sum over d of f(floor(m/d), floor(n/d)), the gcd-class decomposition
+    of all nonempty subsets of {m+1, ..., n}; f(a, b) counts the relatively
+    prime subsets of {a+1, ..., b}. f is called once per block of d with
+    common quotients."""
+    return sum(count * f(a, b) for count, a, b in _gcd_classes(m, n))
 
 
 def partition_identity_f(m: int, n: int, f) -> bool:
@@ -105,13 +130,25 @@ def partition_identity_f(m: int, n: int, f) -> bool:
     return partition_sum_f(m, n, f) == (1 << (n - m)) - 1
 
 
-def partition_sum_fk(m: int, n: int, k: int, fk) -> int:
-    """Cardinality-k slice of partition_sum_f; fk(a, b) counts the
-    relatively prime k-element subsets of {a+1, ..., b}."""
-    _check_k(k)
-    return partition_sum_f(m, n, fk)
+def partition_sum_fk(m: int, n: int, fk) -> list[int]:
+    """partition_sum_f entry by entry: fk(a, b) is a row whose entry k
+    counts the relatively prime k-element subsets of {a+1, ..., b}, and
+    entry k of the sum is the k-element slice of the decomposition. A
+    shorter row counts as 0 past its end, so the sum is as long as the
+    longest row."""
+    total: list[int] = []
+    for count, a, b in _gcd_classes(m, n):
+        row = fk(a, b)
+        if count > 1:
+            row = [count * x for x in row]
+        if len(row) > len(total):
+            total += [0] * (len(row) - len(total))
+        total[: len(row)] = map(add, total, row)
+    return total
 
 
-def partition_identity_fk(m: int, n: int, k: int, fk) -> bool:
-    """Whether the k-element gcd classes add back up to C(n-m, k)."""
-    return partition_sum_fk(m, n, k, fk) == binomial(n - m, k)
+def partition_identity_fk(m: int, n: int, fk) -> bool:
+    """Whether every k-element slice, k = 1 .. len(sum) - 1, adds back up
+    to C(n-m, k); entry 0 of the rows is not compared."""
+    total = partition_sum_fk(m, n, fk)
+    return total[1:] == [binomial(n - m, k) for k in range(1, len(total))]

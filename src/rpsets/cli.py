@@ -6,19 +6,10 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import counting
-from .bounds import (
-    check_f,
-    check_fk,
-    check_phi,
-    check_phik,
-    partition_identity_f,
-    partition_identity_fk,
-    partition_sum_f,
-    partition_sum_fk,
-)
+from .bounds import check_f, check_fk, check_phi, check_phik, partition_sum_fk
 from .counting import (
     Family,
     K_FAMILIES,
@@ -31,7 +22,7 @@ from .counting import (
     phi_interval,
     phik_interval,
 )
-from .exactmath import binomial, ceil_cbrt, decimal_string
+from .exactmath import binomial, ceil_cbrt, decimal_string, pascal_rows
 from .oracle import HARD_WIDTH_CAP, oracle_count
 from .sieve import (
     CapacityError,
@@ -87,12 +78,14 @@ def parse_families(text: str) -> tuple[Family, ...]:
 def build_table_records(
     families: tuple[Family, ...], m_range: tuple[int, int], n_range: tuple[int, int],
     k_range: tuple[int, int] | None, table: SieveTable | None,
-) -> Iterator[tuple[str, int, int, int | None, str]]:
-    """(family, m, n, k, value) rows, value in decimal and k None for F and
-    PHI, in deterministic order: family, then m, then n, then k, ascending.
+) -> Iterator[tuple[str, int, int, Sequence[int | None], list[str]]]:
+    """One (family, m, n, ks, values) item per cell: its rows are
+    (family, m, n, k, value) for k, value in zip(ks, values), values in
+    decimal, and ks is the k range, or (None,) for F and PHI. Cells come in
+    deterministic order: family, then m, then n, ascending.
 
-    The rows are made as they are read. Cells with m >= n are skipped, so an
-    empty intersection yields no rows.
+    The cells are made as they are read, each with one counting call per k.
+    Cells with m >= n are skipped, so an empty intersection yields none.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -102,19 +95,22 @@ def build_table_records(
         # that table and compute use
         counter = getattr(counting, f"{name.lower()}_interval")
         takes_k = family in K_FAMILIES
-        k_values = range(k_range[0], k_range[1] + 1) if takes_k else (None,)
+        ks = range(k_range[0], k_range[1] + 1) if takes_k else (None,)
         for m in range(m_lo, m_hi + 1):
             for n in range(max(n_lo, m + 1), n_hi + 1):
-                for k in k_values:
-                    value = counter(m, n, k, table) if takes_k else counter(m, n, table)
-                    yield name, m, n, k, decimal_string(value)
+                if takes_k:
+                    values = [decimal_string(counter(m, n, k, table)) for k in ks]
+                else:
+                    values = [decimal_string(counter(m, n, table))]
+                yield name, m, n, ks, values
 
 
 def _table_rows(
     families: tuple[Family, ...], m_range: tuple[int, int], n_range: tuple[int, int],
     k_range: tuple[int, int] | None,
 ) -> int:
-    """How many rows build_table_records yields, without computing any.
+    """How many rows the cells of build_table_records hold, without
+    computing any.
     C(b - a + 1, 2) counts the cells a <= m < n <= b, and the grid's cells
     follow from four such counts."""
     (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
@@ -127,27 +123,33 @@ def _table_rows(
 _COLUMNS = ("family", "m", "n", "k", "value")
 
 # One table row per format: CSV, and json.dumps(records, indent=2)'s layout
-# of one record. No field ever needs quoting or escaping: families are
-# capital letters, m, n and k are ints, and values are decimal digits.
-_CSV_RECORD = "%s,%d,%d,%s,%s\n"
-_JSON_RECORD = (
-    '  {\n    "family": "%s",\n    "m": %d,\n    "n": %d,\n    "k": %s,\n    "value": "%s"\n  }'
-)
+# of one record. A cell fills in its family, m and n once, and each of its
+# rows then only its k and value. No field ever needs quoting or escaping:
+# families are capital letters, m, n and k are ints, and values are decimal
+# digits.
+_TEMPLATES = {
+    "csv": ("%s,%d,%d,%%s,%%s\n", ""),
+    "json": (
+        '  {\n    "family": "%s",\n    "m": %d,\n    "n": %d,\n    "k": %%s,\n'
+        '    "value": "%%s"\n  }',
+        "null",
+    ),
+}
 
 
-def render_records(rows: Iterable[tuple], fmt: str) -> str:
-    """The (family, m, n, k, value) rows as CSV, or as the bytes of
-    json.dumps of their dicts with indent=2, plus a newline, each row filled
-    into its format's template."""
+def render_records(cells: Iterable[tuple], fmt: str) -> str:
+    """The rows of the (family, m, n, ks, values) cells as CSV, or as the
+    bytes of json.dumps of their dicts with indent=2, plus a newline, each
+    row filled into its cell's template."""
+    record, none = _TEMPLATES[fmt]
+    # one join: adding the header to the joined rows would copy them all
+    rows = [",".join(_COLUMNS) + "\n"] if fmt == "csv" else []
+    for family, m, n, ks, values in cells:
+        fill = (record % (family, m, n)).__mod__
+        rows += map(fill, zip((none,) if ks[0] is None else ks, values))
     if fmt == "csv":
-        # one join: adding the header to the joined rows would copy them all
-        return "".join([",".join(_COLUMNS) + "\n", *(
-            _CSV_RECORD % (f, m, n, "" if k is None else k, v) for f, m, n, k, v in rows
-        )])
-    body = ",\n".join(
-        _JSON_RECORD % (f, m, n, "null" if k is None else k, v) for f, m, n, k, v in rows
-    )
-    return "[\n" + body + "\n]\n" if body else "[]\n"
+        return "".join(rows)
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -183,6 +185,25 @@ def _resolve_int(args, cfg: dict, name: str, fallback: int) -> int:
     return value
 
 
+def _sieve_limit(n: int, cap: int) -> int:
+    """The table size for counts over n: twice ceil(n^(2/3)), or the cap
+    when that is less, but never less than ceil(n^(2/3)) itself, so that
+    past the cap that is what build_sieve is asked for and its error names.
+
+    M(x) for x above n^(2/3) costs less by its recursion than by sieving,
+    up to a small multiple of it. Sieve plus count in seconds, fk at
+    m = n/4, k = 2 / f at m = n - 60, at 1/2, 1, 2 and 4 times
+    ceil(n^(2/3)): 0.0043 / 0.0032 / 0.0027 / 0.0028 and 0.0065 / 0.0050 /
+    0.0040 / 0.0037 at n = 10^6, 0.093 / 0.068 / 0.064 / 0.065 and 0.123 /
+    0.094 / 0.086 / 0.089 at n = 10^8, 1.62 / 1.22 / 1.27 / 1.21 and 1.71 /
+    1.43 / 1.36 / 1.51 at n = 10^10 (2 vCPUs, CPython 3.11, minimum of 41,
+    9 and 3 rounds). Twice is fastest in four of the six and within 8% in
+    the others; no other multiple is faster at all three n.
+    """
+    need = ceil_cbrt(n * n)
+    return min(2 * need, max(need, cap))
+
+
 def _run_compute(args, cfg: dict) -> int:
     family = Family(args.family.upper())
     m, n, k = args.m, args.n, args.k
@@ -192,28 +213,16 @@ def _run_compute(args, cfg: dict) -> int:
         raise UsageError(str(exc)) from None
     table = None
     if family in SIEVED_FAMILIES:
-        # M(x) for x above n^(2/3) costs less by its recursion than by
-        # sieving, up to a small multiple of it. Sieve plus count in
-        # seconds, fk at m = n/4, k = 2 / f at m = n - 60, at 1/2, 1, 2 and
-        # 4 times ceil(n^(2/3)): 0.0043 / 0.0032 / 0.0027 / 0.0028 and
-        # 0.0065 / 0.0050 / 0.0040 / 0.0037 at n = 10^6, 0.093 / 0.068 /
-        # 0.064 / 0.065 and 0.123 / 0.094 / 0.086 / 0.089 at n = 10^8,
-        # 1.62 / 1.22 / 1.27 / 1.21 and 1.71 / 1.43 / 1.36 / 1.51 at
-        # n = 10^10 (2 vCPUs, CPython 3.11, minimum of 41, 9 and 3 rounds).
-        # Twice is fastest in four of the six and within 8% in the others;
-        # no other multiple is faster at all three n.
         cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
-        need = ceil_cbrt(n * n)
-        # past the cap, need itself is asked for, so the error names it
-        limit = min(2 * need, max(need, cap))
+        limit = _sieve_limit(n, cap)
         if family is Family.FK:
             # fk reads the table only up to its cut-off, and not at all
             # when k > n - m
             limit = min(limit, _fk_cut_off(m, n, k))
         if limit:
             table = build_sieve(limit, cap=cap)
-    # the one row of a one-cell table; k is None or at least 1 here
-    [(*_, value)] = build_table_records((family,), (m, m), (n, n), k and (k, k), table)
+    # the one value of a one-cell table; k is None or at least 1 here
+    [(*_, [value])] = build_table_records((family,), (m, m), (n, n), k and (k, k), table)
     print(value)
     return EXIT_OK
 
@@ -247,10 +256,13 @@ def _run_table(args, cfg: dict) -> int:
     _check_work(_table_rows(families, m_range, n_range, k_range), "table rows")
     table = None
     if any(family in SIEVED_FAMILIES for family in families):
+        # one table up to the largest n serves every cell; past the cap, a
+        # table sized as for that n alone serves them too
         cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
-        table = build_sieve(n_range[1], cap=cap)
-    rows = build_table_records(families, m_range, n_range, k_range, table)
-    _emit(render_records(rows, fmt), out)
+        n_hi = n_range[1]
+        table = build_sieve(n_hi if n_hi <= cap else _sieve_limit(n_hi, cap), cap=cap)
+    cells = build_table_records(families, m_range, n_range, k_range, table)
+    _emit(render_records(cells, fmt), out)
     return EXIT_OK
 
 
@@ -325,67 +337,61 @@ def _verify_oracle(args, cfg: dict) -> int:
 
 
 def _verify_bounds(args, cfg: dict) -> int:
-    """T1-T4 on every cell, with the counts from n's plane."""
+    """T1-T4 on every cell, with the counts from n's plane and the binomials
+    from one Pascal triangle."""
+    n_max = _resolve_int(args, cfg, "n_max", 100)
+    # n T1 and C(n+1, 2) T2 reports per n, as many T3 and T4 from n = 2
+    _check_work(2 * (binomial(n_max + 1, 2) + binomial(n_max + 2, 3)) - 2, "bound reports")
+    rows = pascal_rows(n_max + 2)
 
     def check(n, failures):
         plane = count_plane(n)
         p = divisors(n)[1] if n >= 2 else None  # n's least prime; T3 and T4 need one
         reports = []
         for m in range(n):
-            ks = range(1, n - m + 1)
-            fk, phik = plane.fk[m], plane.phik[m]
             reports.append(check_f(m, n, plane.f[m]))
-            reports += [check_fk(m, n, k, fk[k]) for k in ks]
+            reports += check_fk(m, n, plane.fk[m], rows)
             if p is not None:
                 reports.append(check_phi(m, n, plane.phi[m], p))
-                reports += [check_phik(m, n, k, phik[k], p) for k in ks]
+                reports += check_phik(m, n, plane.phik[m], p, rows)
         for r in reports:
             if not (r.holds_lower and r.holds_upper):
                 failures.append((r.theorem, r.m, n, r.k, f"0..{decimal_string(r.upper)}", r.gap))
         return len(reports)
 
-    n_max = _resolve_int(args, cfg, "n_max", 100)
-    # n T1 and C(n+1, 2) T2 reports per n, as many T3 and T4 from n = 2
-    _check_work(2 * (binomial(n_max + 1, 2) + binomial(n_max + 2, 3)) - 2, "bound reports")
     summary = "verify bounds: checked {} bound reports, {} failures".format
     return _verify(n_max, check, summary)
 
 
 def _verify_identities(args, cfg: dict) -> int:
     """The gcd-partition identities, with the counts of every smaller
-    interval read from the planes built so far."""
+    interval read from the planes built so far, in one walk over the d
+    blocks of each interval."""
     n_max = _resolve_int(args, cfg, "n_max", 60)
     k_max = _resolve_int(args, cfg, "k_max", 10)
     # one F identity per (m, n), and one FK identity per k <= min(n - m, k_max)
     fk_count = binomial(n_max + 2, 3) - binomial(n_max - k_max + 2, 3)
     _check_work(binomial(n_max + 1, 2) + fk_count, "identities")
-    # f_rows[b][a] = f(a, b) and fk_rows[b][a][k] = fk(a, b, k), b from 1,
-    # each row cut to k = 0..k_max, as no larger k is read
-    f_rows: list[list[int]] = [[]]
-    fk_rows: list[list[list[int]]] = [[]]
+    binomials = pascal_rows(n_max, k_max + 1)
+    # counts[b][a] = [f(a, b), fk(a, b, 1), ..., fk(a, b, min(b - a, k_max))],
+    # b from 1: fk(a, b, 0) is 0, so its entry carries f, and one sum of the
+    # rows over the d blocks gives both identities
+    counts: list[list[list[int]]] = [[]]
 
-    def f(a, b):
-        return f_rows[b][a]
+    def count_row(a, b):
+        return counts[b][a]
 
     def check(n, failures):
         plane = count_plane(n)
-        f_rows.append(plane.f)
-        fk_rows.append([row[: k_max + 1] for row in plane.fk])
+        counts.append([[f, *fk[1 : k_max + 1]] for f, fk in zip(plane.f, plane.fk)])
         checked = 0
         for m in range(n):
-            # a failed identity is rare, so only then is its sum computed again
-            if not partition_identity_f(m, n, f):
-                failures.append(("F", m, n, None, (1 << (n - m)) - 1, partition_sum_f(m, n, f)))
-            ks = range(1, min(n - m, k_max) + 1)
-            for k in ks:
-                def fk(a, b, k=k):
-                    row = fk_rows[b][a]
-                    return row[k] if k < len(row) else 0
-
-                if not partition_identity_fk(m, n, k, fk):
-                    failures.append(("FK", m, n, k, binomial(n - m, k),
-                                     partition_sum_fk(m, n, k, fk)))
-            checked += 1 + len(ks)
+            total = partition_sum_fk(m, n, count_row)
+            expected = [(1 << (n - m)) - 1, *binomials[n - m][1:]]
+            for k, (want, got) in enumerate(zip(expected, total)):
+                if want != got:  # entry 0 is the F identity
+                    failures.append(("FK" if k else "F", m, n, k or None, want, got))
+            checked += len(total)
         return checked
 
     summary = "verify identities: checked {} identities, {} failures".format

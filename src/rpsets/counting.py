@@ -27,7 +27,7 @@ from math import comb, isqrt
 from operator import add, floordiv, getitem, sub
 from typing import NamedTuple
 
-from .exactmath import FACTOR_PAD, FACTOR_SLOPE, binomial
+from .exactmath import FACTOR_PAD, FACTOR_SLOPE, binomial, pascal_rows
 from .sieve import SieveTable, prime_factors, squarefree_by_sign
 
 
@@ -257,15 +257,12 @@ def count_plane(n: int) -> CountPlane:
         f(m, n) = f(m+1, n) + Sigma_{d|a} mu(d) 2^(n//d - a/d),  f(n, n) = 0,
     and fk takes C(n//d - a/d, k-1) in place of the power of 2. phi and
     phik keep only the d that also divide n. Each step adds one row
-    C(x, .) per squarefree d | a. Pascal's rule gives the rows of all x < n
+    C(x, .) per squarefree d | a. pascal_rows gives the rows of all x < n
     up front, as d = 1 reads every one; no sieve or Mertens value is needed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rows = [[1]]
-    for _ in range(n - 1):
-        row = rows[-1]
-        rows.append([1, *map(add, row, row[1:]), 1])
+    rows = pascal_rows(n - 1)
     f, phi = [0] * n, [0] * n
     fk: list[list[int]] = [[]] * n
     phik: list[list[int]] = [[]] * n

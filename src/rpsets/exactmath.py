@@ -10,7 +10,7 @@ import functools
 import math
 from bisect import bisect_right
 from itertools import compress, repeat
-from operator import lt, mod
+from operator import add, lt, mod
 
 from .sieve import _primes_upto
 
@@ -73,6 +73,18 @@ def _binomial_by_factors(n: int, j: int) -> int:
         pairs = iter(factors)
         factors = [a * b for a, b in zip(pairs, pairs)] + factors[len(factors) & ~1 :]
     return factors[0] if factors else 1
+
+
+def pascal_rows(top: int, width: int | None = None) -> list[list[int]]:
+    """The rows C(x, 0), C(x, 1), ... for x = 0 .. top, from Pascal's rule,
+    one addition per entry, each row cut to its first width entries (whole
+    when width is None). Row x of a cut triangle needs only the first width
+    entries of row x - 1, so the cut rows cost no more than they hold."""
+    rows = [[1][:width]]
+    for _ in range(top):
+        row = rows[-1]
+        rows.append([1, *map(add, row, row[1:]), 1][:width])
+    return rows
 
 
 def decimal_string(x: int) -> str:

@@ -22,12 +22,13 @@ from rpsets.counting import (
     phi_interval,
     phik_interval,
 )
-from rpsets.exactmath import binomial
+from rpsets.exactmath import binomial, pascal_rows
 from rpsets.oracle import oracle_count
 from rpsets.sieve import build_sieve, divisors, prime_factors
 
 TABLE_200 = build_sieve(200)
 TABLE_10K = build_sieve(10**4)
+ROWS_202 = pascal_rows(202)  # the binomials of every T2 and T4 check up to n = 200
 
 
 @pytest.fixture
@@ -72,10 +73,10 @@ def test_criterion_03_t2_bounds(report):
     bad = []
     for n in range(1, 121):
         for m in range(n):
-            for k in range(1, n - m + 1):
-                r = check_fk(m, n, k, fk_interval(m, n, k, TABLE_200))
+            row = [0, *(fk_interval(m, n, k, TABLE_200) for k in range(1, n - m + 1))]
+            for r in check_fk(m, n, row, ROWS_202):
                 if not (r.holds_lower and r.holds_upper):
-                    bad.append((m, n, k, r.gap, r.upper))
+                    bad.append((m, n, r.k, r.gap, r.upper))
     report("criterion 3 (T2 bounds, n <= 120)", not bad)
     assert not bad, f"T2 violations: {bad[:10]}"
 
@@ -88,10 +89,10 @@ def test_criterion_04_t3_t4_bounds(report):
             r = check_phi(m, n, phi_interval(m, n, TABLE_200), p)
             if not (r.holds_lower and r.holds_upper):
                 bad.append(("T3", m, n, None, r.gap, r.upper))
-            for k in range(1, n - m + 1):
-                r = check_phik(m, n, k, phik_interval(m, n, k, TABLE_200), p)
+            row = [0, *(phik_interval(m, n, k, TABLE_200) for k in range(1, n - m + 1))]
+            for r in check_phik(m, n, row, p, ROWS_202):
                 if not (r.holds_lower and r.holds_upper):
-                    bad.append(("T4", m, n, k, r.gap, r.upper))
+                    bad.append(("T4", m, n, r.k, r.gap, r.upper))
     report("criterion 4 (T3/T4 bounds, n <= 200)", not bad)
     assert not bad, f"T3/T4 violations: {bad[:10]}"
 
@@ -100,15 +101,16 @@ def test_criterion_05_partition_identities(report):
     def f(a, b):
         return f_interval(a, b, TABLE_200)
 
+    def fk(a, b):  # its k-slices are checked for k = 1 .. min(n - m, 10)
+        return [0, *(fk_interval(a, b, k, TABLE_200) for k in range(1, min(b - a, 10) + 1))]
+
     bad = []
     for n in range(1, 101):
         for m in range(n):
             if not partition_identity_f(m, n, f):
                 bad.append(("F", m, n, None))
-            for k in range(1, min(n - m, 10) + 1):
-                fk = lambda a, b: fk_interval(a, b, k, TABLE_200)
-                if not partition_identity_fk(m, n, k, fk):
-                    bad.append(("FK", m, n, k))
+            if not partition_identity_fk(m, n, fk):
+                bad.append(("FK", m, n))
     report("criterion 5 (partition identities, n <= 100)", not bad)
     assert not bad, f"identity failures: {bad[:10]}"
 

@@ -124,6 +124,42 @@ def test_compute_sieves_to_twice_n_to_the_two_thirds_inside_its_cap(capsys, monk
     assert int(out) == fk_interval(250_000, 10**6, 2, build_sieve(1000))
 
 
+def test_table_sieves_to_its_largest_n_or_as_compute_does_past_the_cap(
+    capsys, monkeypatch, tmp_path
+):
+    limits = []
+
+    def record(limit, cap):
+        limits.append(limit)
+        return build_sieve(limit, cap)
+
+    monkeypatch.setattr(cli, "build_sieve", record)
+    # inside the cap, one table up to the largest n
+    argv = ["table", "--families", "F", "--m", "0..3", "--n", "30..64", "--format", "csv"]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert limits == [64]
+    # past it, the table compute would build for that n: ceil((10^6)^(2/3)) = 10^4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sieve_cap": 20_000}))
+    argv = ["--config", str(cfg), "table", "--families", "F,FK", "--m", "999940",
+            "--n", "1000000", "--k", "2", "--format", "csv"]
+    assert run_cli(capsys, *argv) == (EXIT_OK, (
+        "family,m,n,k,value\n"
+        "F,999940,1000000,,1152921503532052987\n"
+        "FK,999940,1000000,2,1087\n"
+    ), "")
+    assert limits == [64, 20_000]
+    # the values compute prints
+    for value, family, *k in (("1152921503532052987", "f"), ("1087", "fk", "--k", "2")):
+        argv_compute = ["compute", family, "--m", "999940", "--n", "1000000", *k]
+        assert run_cli(capsys, *argv_compute) == (EXIT_OK, value + "\n", ""), family
+    # a cap below 10^4 refuses, naming 10^4
+    cfg.write_text(json.dumps({"sieve_cap": 9_999}))
+    assert run_cli(capsys, *argv) == (
+        EXIT_CAPACITY, "", "error: sieve limit 10000 exceeds capacity cap 9999\n"
+    )
+
+
 def test_the_parser_is_built_once_per_process(capsys):
     cli.build_parser.cache_clear()
     assert run_cli(capsys, "compute", "f", "--m", "2", "--n", "6") == (EXIT_OK, "9\n", "")
@@ -305,25 +341,31 @@ def test_values_above_4300_digits_print(capsys):
     assert _parse_in_chunks(records[0]["value"]) == expected
 
 
+def _expand(cells):
+    """The (family, m, n, k, value) rows of (family, m, n, ks, values) cells."""
+    return [(f, m, n, k, v) for f, m, n, ks, values in cells for k, v in zip(ks, values)]
+
+
 def test_json_rendering_matches_json_dumps():
     tables = [
         [],
-        [("F", 0, n, None, str(2**n - 1)) for n in range(1, 4)],
-        [("FK", 1, 5, 2, "6"), ("PHIK", 0, 6, 1, "2"), ("FK", 0, 3, 3, "0")],
-        [("F", 0, 15_000, None, "7" * 4400)],
+        [("F", 0, n, (None,), [str(2**n - 1)]) for n in range(1, 4)],
+        [("FK", 1, 5, range(2, 3), ["6"]), ("PHIK", 0, 6, range(1, 4), ["2", "5", "4"]),
+         ("FK", 0, 3, range(3, 5), ["0", "0"])],
+        [("F", 0, 15_000, (None,), ["7" * 4400])],
     ]
-    for rows in tables:
-        records = [dict(zip(cli._COLUMNS, row)) for row in rows]
-        assert render_records(rows, "json") == json.dumps(records, indent=2) + "\n"
+    for cells in tables:
+        records = [dict(zip(cli._COLUMNS, row)) for row in _expand(cells)]
+        assert render_records(cells, "json") == json.dumps(records, indent=2) + "\n"
 
 
-_DRAWN_ROWS = st.lists(
+_DRAWN_CELLS = st.lists(
     st.tuples(
         st.sampled_from(list(Family)),
         st.integers(0, 10**6),
         st.integers(1, 10**6),
-        st.none() | st.integers(1, 1000),
-        st.integers(0, 2**20000),
+        st.integers(1, 1000),
+        st.lists(st.integers(0, 10**30) | st.integers(0, 2**20000), min_size=1, max_size=3),
     ),
     max_size=6,
 )
@@ -331,17 +373,24 @@ _DRAWN_ROWS = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @example([])
-@example([(Family.F, 0, 15_000, None, 2**15_000 - 1)])
-@given(_DRAWN_ROWS)
+@example([(Family.F, 0, 15_000, 1, [2**15_000 - 1])])
+@given(_DRAWN_CELLS)
 def test_templates_match_the_csv_and_json_encoders(drawn):
-    rows = [(family.value, m, n, k, decimal_string(v)) for family, m, n, k, v in drawn]
+    # a cell of F or PHI has the one k None and one value
+    cells = [
+        (family.value, m, n, range(k, k + len(vs)), list(map(decimal_string, vs)))
+        if family in counting.K_FAMILIES else
+        (family.value, m, n, (None,), [decimal_string(vs[0])])
+        for family, m, n, k, vs in drawn
+    ]
+    rows = _expand(cells)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli._COLUMNS)
     writer.writerows(rows)
-    assert render_records(iter(rows), "csv") == buf.getvalue()
+    assert render_records(iter(cells), "csv") == buf.getvalue()
     records = [dict(zip(cli._COLUMNS, row)) for row in rows]
-    assert render_records(iter(rows), "json") == json.dumps(records, indent=2) + "\n"
+    assert render_records(iter(cells), "json") == json.dumps(records, indent=2) + "\n"
 
 
 def test_table_rows_are_made_as_they_are_read(monkeypatch):
@@ -354,8 +403,8 @@ def test_table_rows_are_made_as_they_are_read(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(counting, "f_interval", counted)
-    rows = build_table_records((Family.F,), (0, 0), (1, 1000), None, build_sieve(1000))
-    assert next(rows) == ("F", 0, 1, None, "1")
+    cells = build_table_records((Family.F,), (0, 0), (1, 1000), None, build_sieve(1000))
+    assert next(cells) == ("F", 0, 1, (None,), ["1"])
     assert calls == 1
 
 
@@ -728,8 +777,9 @@ def test_table_row_count_matches_the_rows():
             for n_lo in range(1, 7):
                 for n_hi in range(n_lo, 7):
                     ranges = ((m_lo, m_hi), (n_lo, n_hi), (2, 3))
-                    rows = build_table_records(families, *ranges, None)
-                    assert cli._table_rows(families, *ranges) == len(list(rows)), ranges
+                    cells = build_table_records(families, *ranges, None)
+                    rows = sum(len(values) for *_, values in cells)
+                    assert cli._table_rows(families, *ranges) == rows, ranges
     assert cli._table_rows(tuple(Family), (0, 63), (1, 64), (1, 64)) == 2 * 2080 + 2 * 2080 * 64
 
 

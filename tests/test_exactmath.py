@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsets.exactmath import _binomial_by_factors, binomial, ceil_cbrt, decimal_string
+from rpsets.exactmath import _binomial_by_factors, binomial, ceil_cbrt, decimal_string, pascal_rows
 
 
 def test_binomial_frozen_values():
@@ -29,6 +29,14 @@ def test_binomial_matches_pascal_triangle():
             expected = row[k] if k < len(row) else 0
             assert binomial(n, k) == expected
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
+
+
+def test_pascal_rows_whole_and_cut():
+    for width in (None, 1, 2, 5, 50):
+        rows = pascal_rows(40, width)
+        assert len(rows) == 41
+        for x, row in enumerate(rows):
+            assert row == [math.comb(x, k) for k in range(x + 1)][:width], (x, width)
 
 
 @settings(max_examples=120, deadline=None)

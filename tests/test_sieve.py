@@ -114,10 +114,14 @@ def test_tables_at_the_square_root_seams():
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
 def test_blocks_of_any_size_give_the_same_tables(monkeypatch, block):
     # blocks only group the writes for the cache, so splitting a cofactor's
-    # writes or a prime's multiples at any point changes nothing
+    # writes, a prime's multiples or the sieve of Eratosthenes at any point
+    # changes nothing; a cold store makes each build sieve its primes too
     monkeypatch.setattr(sieve, "_BLOCK", block)
     for limit in (1, 2, 63, 64, 65, 999, 1000, 1001, LIMIT):
+        monkeypatch.setattr(sieve, "_prime_store", (0, []))
         table = build_sieve(limit)
+        size, primes = sieve._prime_store
+        assert primes == [p for p in range(2, size) if prime_factors(p) == [(p, 1)]], limit
         assert table.mobius == TABLE.mobius[: limit + 1], limit
         assert table.mertens == TABLE.mertens[: limit + 1], limit
 
