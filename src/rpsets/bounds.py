@@ -103,26 +103,12 @@ def check_phik(m: int, n: int, phik: list[int], p: int, rows) -> list[BoundRepor
     return reports
 
 
-def _gcd_classes(m: int, n: int):
-    """(count, floor(m/d), floor(n/d)) for each block of consecutive d with
-    common quotients and floor(n/d) > floor(m/d), d ascending; the others
-    hold no element of {m+1, ..., n}. There are O(sqrt(n)) blocks."""
-    _check_interval(m, n)
-    d = 1
-    while d <= n:
-        md, nd = m // d, n // d
-        end = min(n // nd, m // md if md else n)
-        if nd > md:
-            yield end - d + 1, md, nd
-        d = end + 1
-
-
 def partition_sum_f(m: int, n: int, f) -> int:
     """Sum over d of f(floor(m/d), floor(n/d)), the gcd-class decomposition
     of all nonempty subsets of {m+1, ..., n}; f(a, b) counts the relatively
-    prime subsets of {a+1, ..., b}. f is called once per block of d with
-    common quotients."""
-    return sum(count * f(a, b) for count, a, b in _gcd_classes(m, n))
+    prime subsets of {a+1, ..., b}. It is partition_sum_fk of one-entry
+    rows."""
+    return partition_sum_fk(m, n, lambda a, b: [f(a, b)])[0]
 
 
 def partition_identity_f(m: int, n: int, f) -> bool:
@@ -135,15 +121,23 @@ def partition_sum_fk(m: int, n: int, fk) -> list[int]:
     counts the relatively prime k-element subsets of {a+1, ..., b}, and
     entry k of the sum is the k-element slice of the decomposition. A
     shorter row counts as 0 past its end, so the sum is as long as the
-    longest row."""
+    longest row. Only the d with floor(n/d) > floor(m/d) count, and both
+    quotients are constant on blocks of consecutive d, so fk is called once
+    per block, O(sqrt(n)) times."""
+    _check_interval(m, n)
     total: list[int] = []
-    for count, a, b in _gcd_classes(m, n):
-        row = fk(a, b)
-        if count > 1:
-            row = [count * x for x in row]
-        if len(row) > len(total):
-            total += [0] * (len(row) - len(total))
-        total[: len(row)] = map(add, total, row)
+    d = 1
+    while d <= n:
+        md, nd = m // d, n // d
+        end = min(n // nd, m // md if md else n)
+        if nd > md:
+            row = fk(md, nd)
+            if end > d:
+                row = [(end - d + 1) * x for x in row]
+            if len(row) > len(total):
+                total += [0] * (len(row) - len(total))
+            total[: len(row)] = map(add, total, row)
+        d = end + 1
     return total
 
 
