@@ -11,6 +11,7 @@ row of counts, over {a+1, ..., b}, so they work with any source of counts:
 the *_interval kernel or the planes of counting.count_plane.
 """
 
+from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
@@ -53,6 +54,20 @@ def _choose(rows, x: int, size: int) -> list[int]:
     return row[1 : size + 1] + [0] * (size + 1 - len(row))
 
 
+def _row_checks(theorem: str, m: int, n: int, counts: list[int], p: int, lift: int, rows, tight):
+    """The reports of check_fk (p = 2, lift = 2) and check_phik (lift = 1):
+    the upper is n*C(floor((n-m)/(p+1)) + lift, k), and tight yields T2's
+    candidate binomial, or None, for each k."""
+    size, w = len(counts) - 1, n - m
+    binomials = (_choose(rows, x, size) for x in (w, n // p - m // p, w // (p + 1) + lift))
+    reports = []
+    for k, f, c, t, b, u in zip(range(1, size + 1), counts[1:], tight, *binomials):
+        gap, u = t - b - f, n * u
+        reports.append(BoundReport(theorem, m, n, k, gap, u, gap >= 0, gap <= u,
+                                   c if c is None else gap <= n * c))
+    return reports
+
+
 def check_fk(m: int, n: int, fk: list[int], rows) -> list[BoundReport]:
     """Gap of fk[k] = fk(m, n, k) below C(n-m, k) - C(floor(n/2) -
     floor(m/2), k), one report per k = 1 .. len(fk) - 1: fk is laid out as
@@ -60,16 +75,7 @@ def check_fk(m: int, n: int, fk: list[int], rows) -> list[BoundReport]:
     rows, as for _choose, so rows = pascal_rows(n + 2) serves every cell up
     to n."""
     _check_interval(m, n)
-    size = len(fk) - 1
-    w = n - m
-    total, below, upper, tight = (
-        _choose(rows, x, size) for x in (w, n // 2 - m // 2, w // 3 + 2, w // 3)
-    )
-    reports = []
-    for k, t, b, f, u, c in zip(range(1, size + 1), total, below, fk[1:], upper, tight):
-        gap, u = t - b - f, n * u
-        reports.append(BoundReport("T2", m, n, k, gap, u, gap >= 0, gap <= u, gap <= n * c))
-    return reports
+    return _row_checks("T2", m, n, fk, 2, 2, rows, _choose(rows, (n - m) // 3, len(fk) - 1))
 
 
 def _check_p(n: int, p: int) -> None:
@@ -93,14 +99,7 @@ def check_phik(m: int, n: int, phik: list[int], p: int, rows) -> list[BoundRepor
     rows as for check_fk."""
     _check_interval(m, n)
     _check_p(n, p)
-    size = len(phik) - 1
-    w = n - m
-    total, below, upper = (_choose(rows, x, size) for x in (w, n // p - m // p, w // (p + 1) + 1))
-    reports = []
-    for k, t, b, f, u in zip(range(1, size + 1), total, below, phik[1:], upper):
-        gap, u = t - b - f, n * u
-        reports.append(BoundReport("T4", m, n, k, gap, u, gap >= 0, gap <= u))
-    return reports
+    return _row_checks("T4", m, n, phik, p, 1, rows, repeat(None))
 
 
 def partition_sum_f(m: int, n: int, f) -> int:

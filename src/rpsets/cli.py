@@ -185,23 +185,40 @@ def _resolve_int(args, cfg: dict, name: str, fallback: int) -> int:
     return value
 
 
-def _sieve_limit(n: int, cap: int) -> int:
-    """The table size for counts over n: twice ceil(n^(2/3)), or the cap
-    when that is less, but never less than ceil(n^(2/3)) itself, so that
-    past the cap that is what build_sieve is asked for and its error names.
+def _sieve_table(args, cfg: dict, grid: tuple) -> SieveTable | None:
+    """The one Mobius/Mertens table for the F and FK counts of a grid, the
+    arguments of build_table_records; None, cap unread, if it has none.
 
-    M(x) for x above n^(2/3) costs less by its recursion than by sieving,
-    up to a small multiple of it. Sieve plus count in seconds, fk at
-    m = n/4, k = 2 / f at m = n - 60, at 1/2, 1, 2 and 4 times
-    ceil(n^(2/3)): 0.0043 / 0.0032 / 0.0027 / 0.0028 and 0.0065 / 0.0050 /
-    0.0040 / 0.0037 at n = 10^6, 0.093 / 0.068 / 0.064 / 0.065 and 0.123 /
-    0.094 / 0.086 / 0.089 at n = 10^8, 1.62 / 1.22 / 1.27 / 1.21 and 1.71 /
-    1.43 / 1.36 / 1.51 at n = 10^10 (2 vCPUs, CPython 3.11, minimum of 41,
-    9 and 3 rounds). Twice is fastest in four of the six and within 8% in
-    the others; no other multiple is faster at all three n.
+    A lone count, as in compute, gets 2*ceil(n^(2/3)) entries or the cap,
+    whichever is less, but at least ceil(n^(2/3)), which past the cap is
+    what build_sieve refuses, and at most its reach: n for f, the cut-off
+    for fk. M(x) above n^(2/3) costs less by its recursion than by sieving,
+    up to a small multiple of it. Sieve plus count in seconds, fk at m = n/4,
+    k = 2 / f at m = n - 60, at 1/2, 1, 2 and 4 times ceil(n^(2/3)): 0.0043
+    / 0.0032 / 0.0027 / 0.0028 and 0.0065 / 0.0050 / 0.0040 / 0.0037 at
+    n = 10^6, 0.093 / 0.068 / 0.064 / 0.065 and 0.123 / 0.094 / 0.086 /
+    0.089 at n = 10^8, 1.62 / 1.22 / 1.27 / 1.21 and 1.71 / 1.43 / 1.36 /
+    1.51 at n = 10^10 (2 vCPUs, CPython 3.11, minimum of 41, 9 and 3
+    rounds). Twice is fastest in four of the six and within 8% in the
+    others; no other multiple is faster at all three n.
+
+    More counts share one table up to the largest n, or past the cap a lone
+    count's at that n: F over 1000 narrow cells at n = 10^6 takes 4.3 s on
+    the short one and 1.1 s on the full one (fresh processes).
     """
+    families, (m, _), (_, n), k_range = grid
+    sieved = tuple(family for family in families if family in SIEVED_FAMILIES)
+    if not sieved:
+        return None
+    cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
     need = ceil_cbrt(n * n)
-    return min(2 * need, max(need, cap))
+    limit = min(2 * need, max(need, cap))
+    if _table_rows(sieved, *grid[1:]) == 1:
+        # a grid of one cell holds just (m_lo, n_hi)
+        limit = min(limit, n if sieved == (Family.F,) else _fk_cut_off(m, n, k_range[0]))
+    elif n <= cap:
+        limit = n
+    return build_sieve(limit, cap=cap) if limit else None
 
 
 def _run_compute(args, cfg: dict) -> int:
@@ -211,18 +228,9 @@ def _run_compute(args, cfg: dict) -> int:
         _check_cell(family, m, n, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    table = None
-    if family in SIEVED_FAMILIES:
-        cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
-        limit = _sieve_limit(n, cap)
-        if family is Family.FK:
-            # fk reads the table only up to its cut-off, and not at all
-            # when k > n - m
-            limit = min(limit, _fk_cut_off(m, n, k))
-        if limit:
-            table = build_sieve(limit, cap=cap)
     # the one value of a one-cell table; k is None or at least 1 here
-    [(*_, [value])] = build_table_records((family,), (m, m), (n, n), k and (k, k), table)
+    cell = (family,), (m, m), (n, n), k and (k, k)
+    [(*_, [value])] = build_table_records(*cell, _sieve_table(args, cfg, cell))
     print(value)
     return EXIT_OK
 
@@ -254,14 +262,8 @@ def _run_table(args, cfg: dict) -> int:
     if k_range is not None and k_range[0] < 1:
         raise UsageError(f"k must be >= 1, got {k_range[0]}")
     _check_work(_table_rows(families, m_range, n_range, k_range), "table rows")
-    table = None
-    if any(family in SIEVED_FAMILIES for family in families):
-        # one table up to the largest n serves every cell; past the cap, a
-        # table sized as for that n alone serves them too
-        cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
-        n_hi = n_range[1]
-        table = build_sieve(n_hi if n_hi <= cap else _sieve_limit(n_hi, cap), cap=cap)
-    cells = build_table_records(families, m_range, n_range, k_range, table)
+    grid = families, m_range, n_range, k_range
+    cells = build_table_records(*grid, _sieve_table(args, cfg, grid))
     _emit(render_records(cells, fmt), out)
     return EXIT_OK
 
@@ -302,7 +304,7 @@ def _verify_oracle(args, cfg: dict) -> int:
     a = min(n_max, width_cap)
     _check_work(a * (a + 1) * (a + 5) // 3 + (n_max - a) * width_cap * (width_cap + 3),
                 "oracle cells")
-    table = build_sieve(n_max, cap=_resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP))
+    table = _sieve_table(args, cfg, (tuple(Family), (0, n_max - 1), (1, n_max), (1, n_max)))
 
     def check(n, failures):
         low = max(0, n - width_cap)

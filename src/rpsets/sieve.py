@@ -13,7 +13,6 @@ default cap of 10^8 entries, which is ceil(n^(2/3)) for n = 10^12, holds
 import math
 import sys
 from array import array
-from bisect import bisect_right
 from itertools import compress
 from typing import NamedTuple
 
@@ -42,10 +41,9 @@ _ONES = int.from_bytes(b"\x01\x00" * _RUN, "little")  # 1 in each of _RUN lanes
 _BLOCK = 1 << 20
 
 # (size, primes): every prime below size, ascending. _primes_upto regrows it
-# on demand, so importing the module sieves nothing; build_sieve reads the
-# primes up to the square root of its limit, exactmath.binomial those up to
-# its n. size is kept because the last prime falls short of what the store
-# covers.
+# on demand, so importing the module sieves nothing; exactmath.binomial
+# reads the primes up to its n. size is kept because the last prime falls
+# short of what the store covers.
 _prime_store: tuple[int, list[int]] = (0, [])
 
 
@@ -105,8 +103,8 @@ def _primes_upto(n: int) -> list[int]:
 
 
 def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
-    """Build both tables from one Eratosthenes pass and the primes up to
-    r = isqrt(limit).
+    """Build both tables from one Eratosthenes pass, which also gives the
+    primes up to r = isqrt(limit).
 
     mu is sieved as bytes mod 256. Every n <= limit has at most one prime
     factor q > r, and it has one exactly when its least divisor above r is
@@ -118,7 +116,7 @@ def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
     multiples of p*p, which leaves mu(n) = (-1)^k for n squarefree with k
     prime factors and 0 otherwise. The writes and flips go block by block
     of _BLOCK entries, O(r) Python steps per block, and the shared prime
-    list grows only to r. M is then summed in runs of _RUN entries, each a
+    list is left as it is. M is then summed in runs of _RUN entries, each a
     few big-integer passes (see _mertens_run) written straight into the
     bytes of the 'h' array. Both arrays are allocated at their exact
     length.
@@ -129,13 +127,13 @@ def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SieveTable:
         raise CapacityError(f"sieve limit {limit} exceeds capacity cap {cap}")
     root = math.isqrt(limit)
     signs = _strike_composites(bytearray(b"\xff") * (limit + 1), 0x01)
+    # the primes up to r are the marks there still at 0xFF, that is -1
+    primes = list(compress(range(2, root + 1), signs[2 : root + 1].translate(_ONLY_MINUS)))
     signs[: root + 1] = b"\x01" * (root + 1)
     signs[0] = 0
     # the write for c = 1 would copy signs onto itself; later writes read
     # the marks of j <= limit // 2 as they were before any of them
     marks = signs[: limit // 2 + 1]
-    primes = _primes_upto(root)
-    primes = primes[: bisect_right(primes, root)]
     step = root + 1
     for lo in range(0, limit + 1, _BLOCK):
         hi = min(lo + _BLOCK, limit + 1)

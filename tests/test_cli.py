@@ -160,6 +160,103 @@ def test_table_sieves_to_its_largest_n_or_as_compute_does_past_the_cap(
     )
 
 
+def record_sieves(monkeypatch) -> list[int]:
+    """The limits cli asks build_sieve for, in order, each table built once
+    per (limit, cap)."""
+    limits, tables = [], {}
+
+    def record(limit, cap):
+        limits.append(limit)
+        if (limit, cap) not in tables:
+            tables[limit, cap] = build_sieve(limit, cap)
+        return tables[limit, cap]
+
+    monkeypatch.setattr(cli, "build_sieve", record)
+    return limits
+
+
+def test_a_one_count_table_sieves_as_compute_does(capsys, monkeypatch):
+    limits = record_sieves(monkeypatch)
+    # one F count: 2 * ceil((10^8)^(2/3)) = 430,888, not the 10^8 entries up to n
+    argv = ["table", "--families", "F", "--m", "99999990", "--n", "100000000", "--format", "csv"]
+    assert run_cli(capsys, *argv) == (EXIT_OK, "family,m,n,k,value\nF,99999990,100000000,,981\n", "")
+    # PHI reads no table, so F,PHI on one cell is one count too; and so is F
+    # over m past n, as those m add no cell: 2 * ceil((10^6)^(2/3)) = 20,000
+    argv[2:7] = ["F,PHI", "--m", "999990", "--n", "1000000"]
+    assert run_cli(capsys, *argv) == (EXIT_OK, "family,m,n,k,value\nF,999990,1000000,,981\n"
+                                      "PHI,999990,1000000,,990\n", "")
+    argv[2:5] = ["F", "--m", "999999..1000005"]
+    assert run_cli(capsys, *argv) == (EXIT_OK, "family,m,n,k,value\nF,999999,1000000,,0\n", "")
+    assert limits == [430_888, 20_000, 20_000]
+
+    def refuse(limit, cap):
+        limits.append(limit)
+        raise MemoryError
+
+    # compute f asks for the same table
+    monkeypatch.setattr(cli, "build_sieve", refuse)
+    assert run_cli(capsys, "compute", "f", "--m", "99999990", "--n", "100000000") == (
+        EXIT_CAPACITY, "", "error: out of memory\n")
+    assert limits[-1] == 430_888
+
+
+def test_a_lone_fk_table_sieves_to_its_cut_off(capsys, monkeypatch):
+    limits = record_sieves(monkeypatch)
+    cell = ["--m", "999999999000", "--n", "1000000000000", "--k", "3"]
+    code, out, err = run_cli(capsys, "table", "--families", "FK", *cell, "--format", "csv")
+    assert run_cli(capsys, "compute", "fk", *cell) == (EXIT_OK, out.split(",")[-1], "")
+    assert (code, err, limits) == (EXIT_OK, "", [500, 500])
+    # k > n - m: the count is 0 and neither command sieves
+    cell[-1] = "1001"
+    assert run_cli(capsys, "table", "--families", "FK", *cell, "--format", "csv") == (
+        EXIT_OK, "family,m,n,k,value\nFK,999999999000,1000000000000,1001,0\n", "")
+    assert run_cli(capsys, "compute", "fk", *cell) == (EXIT_OK, "0\n", "")
+    assert limits == [500, 500]
+
+
+def test_grids_of_no_count_or_of_more_than_one_sieve_up_to_their_largest_n(
+    capsys, monkeypatch, tmp_path
+):
+    limits = record_sieves(monkeypatch)
+    for grid in (["FK", "--m", "0", "--n", "64", "--k", "1..2"],  # two k
+                 ["F,FK", "--m", "0", "--n", "64", "--k", "2"],  # two families
+                 ["F", "--m", "0..1", "--n", "64"],  # two cells
+                 ["F", "--m", "10", "--n", "1..64"]):  # no cell
+        assert run_cli(capsys, "table", "--families", *grid, "--format", "csv")[0] == EXIT_OK
+    assert limits == [64] * 4
+    # past the cap, as compute sizes a table for the largest n
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sieve_cap": 20_000}))
+    for grid in (["FK", "--m", "999940", "--n", "1000000", "--k", "2..3"],
+                 ["F", "--m", "2000000", "--n", "1000000"]):
+        argv = ["--config", str(cfg), "table", "--families", *grid, "--format", "csv"]
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert limits == [64] * 4 + [20_000] * 2
+    # grids of PHI and PHIK read no table, and no cap
+    cfg.write_text(json.dumps({"sieve_cap": 0}))
+    argv = ["--config", str(cfg), "table", "--families", "PHI,PHIK", "--m", "0", "--n", "6",
+            "--k", "1..2", "--format", "csv"]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert len(limits) == 6
+
+
+def test_verify_oracle_past_the_cap_runs_on_a_short_table(capsys, monkeypatch, tmp_path):
+    limits = record_sieves(monkeypatch)
+    argv = ["verify", "oracle", "--n-max", "30", "--width-cap", "6"]  # 1446 cells, not 9688
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, limits) == (EXIT_OK, [30])
+    # ceil(30^(2/3)) = 10, so a cap of 20 admits a table of 20
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sieve_cap": 20}))
+    assert run_cli(capsys, "--config", str(cfg), *argv) == (EXIT_OK, out, "")
+    assert out.endswith(", 0 failures; skipped 300 intervals wider than 6\n")
+    assert limits == [30, 20]
+    # ceil(8^(2/3)) = 4 is past a cap of 1
+    cfg.write_text(json.dumps({"sieve_cap": 1}))
+    assert run_cli(capsys, "--config", str(cfg), "verify", "oracle", "--n-max", "8") == (
+        EXIT_CAPACITY, "", "error: sieve limit 4 exceeds capacity cap 1\n")
+
+
 def test_the_parser_is_built_once_per_process(capsys):
     cli.build_parser.cache_clear()
     assert run_cli(capsys, "compute", "f", "--m", "2", "--n", "6") == (EXIT_OK, "9\n", "")

@@ -64,16 +64,16 @@ def test_mobius_frozen_values():
 
 def tables_from_every_flag_state(monkeypatch):
     """build_sieve(LIMIT) from a cold prime store, from a store that a
-    factored binomial grew far past LIMIT, and from a store shorter than
-    sqrt(LIMIT)."""
+    factored binomial grew far past LIMIT, and from a store that holds some
+    primes but not all up to sqrt(LIMIT)."""
     monkeypatch.setattr(sieve, "_prime_store", (0, []))
     yield "cold", build_sieve(LIMIT)
     binomial(100_000, 50_000)
     assert sieve._prime_store[0] > 50 * LIMIT
     yield "grown", build_sieve(LIMIT)
     monkeypatch.setattr(sieve, "_prime_store", (0, []))
-    build_sieve(LIMIT // 8)
-    assert sieve._prime_store[0] <= math.isqrt(LIMIT)
+    sieve._primes_upto(math.isqrt(LIMIT) // 2)
+    assert 0 < sieve._prime_store[0] <= math.isqrt(LIMIT)
     yield "short", build_sieve(LIMIT)
 
 
@@ -115,29 +115,30 @@ def test_tables_at_the_square_root_seams():
 def test_blocks_of_any_size_give_the_same_tables(monkeypatch, block):
     # blocks only group the writes for the cache, so splitting a cofactor's
     # writes, a prime's multiples or the sieve of Eratosthenes at any point
-    # changes nothing; a cold store makes each build sieve its primes too
+    # changes nothing, in the tables or in the shared prime list
     monkeypatch.setattr(sieve, "_BLOCK", block)
     for limit in (1, 2, 63, 64, 65, 999, 1000, 1001, LIMIT):
-        monkeypatch.setattr(sieve, "_prime_store", (0, []))
         table = build_sieve(limit)
-        size, primes = sieve._prime_store
-        assert primes == [p for p in range(2, size) if prime_factors(p) == [(p, 1)]], limit
         assert table.mobius == TABLE.mobius[: limit + 1], limit
         assert table.mertens == TABLE.mertens[: limit + 1], limit
+        monkeypatch.setattr(sieve, "_prime_store", (0, []))
+        primes = sieve._primes_upto(limit)
+        size = sieve._prime_store[0]
+        assert primes == [p for p in range(2, size) if prime_factors(p) == [(p, 1)]], limit
 
 
 def test_a_cold_build_grows_the_prime_store_only_to_its_square_root(monkeypatch):
-    # the tables need only the primes up to isqrt(limit), so a large build
-    # leaves no list of all the primes below it
-    for limit in (LIMIT, 10**6):
-        monkeypatch.setattr(sieve, "_prime_store", (0, []))
+    # the tables read the primes up to isqrt(limit) from their own sieve of
+    # Eratosthenes, so a build leaves the store as it found it, cold or not
+    for store, limit in (((0, []), 10**6), ((12, [2, 3, 5, 7, 11]), LIMIT)):
+        monkeypatch.setattr(sieve, "_prime_store", store)
         build_sieve(limit)
-        assert sieve._prime_store[0] <= math.isqrt(limit) + 1, limit
+        assert sieve._prime_store is store, limit
 
 
 def test_binomial_after_a_small_sieve(monkeypatch):
-    # a small build_sieve leaves a short prime store that the factored
-    # binomial (j*j >= 64*(n + 4096) in each of these) has to grow
+    # build_sieve leaves the store as it found it, here empty, so the
+    # factored binomial (j*j >= 64*(n + 4096) in each of these) grows it
     monkeypatch.setattr(sieve, "_prime_store", (0, []))
     build_sieve(64)
     for n, j in ((3000, 1500), (40_000, 20_000), (100_000, 50_000)):
