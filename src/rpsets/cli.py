@@ -187,7 +187,7 @@ def _resolve_int(args, cfg: dict, name: str, fallback: int) -> int:
 
 def _sieve_table(args, cfg: dict, grid: tuple) -> SieveTable | None:
     """The one Mobius/Mertens table for the F and FK counts of a grid, the
-    arguments of build_table_records; None, cap unread, if it has none.
+    arguments of build_table_records; None, cap unread, if it asks for none.
 
     A lone count, as in compute, gets 2*ceil(n^(2/3)) entries or the cap,
     whichever is less, but at least ceil(n^(2/3)), which past the cap is
@@ -202,9 +202,9 @@ def _sieve_table(args, cfg: dict, grid: tuple) -> SieveTable | None:
     rounds). Twice is fastest in four of the six and within 8% in the
     others; no other multiple is faster at all three n.
 
-    More counts share one table up to the largest n, or past the cap a lone
-    count's at that n: F over 1000 narrow cells at n = 10^6 takes 4.3 s on
-    the short one and 1.1 s on the full one (fresh processes).
+    Any other grid shares one table up to the largest n, or past the cap a
+    lone count's at that n: F over 1000 narrow cells at n = 10^6 takes 4.3 s
+    on the short one and 1.1 s on the full one (fresh processes).
     """
     families, (m, _), (_, n), k_range = grid
     sieved = tuple(family for family in families if family in SIEVED_FAMILIES)
