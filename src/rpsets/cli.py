@@ -15,7 +15,7 @@ from .counting import (
     K_FAMILIES,
     SIEVED_FAMILIES,
     _check_cell,
-    _fk_cut_off,
+    _reach,
     count_plane,
     f_interval,
     fk_interval,
@@ -187,37 +187,34 @@ def _resolve_int(args, cfg: dict, name: str, fallback: int) -> int:
 
 def _sieve_table(args, cfg: dict, grid: tuple) -> SieveTable | None:
     """The one Mobius/Mertens table for the F and FK counts of a grid, the
-    arguments of build_table_records; None, cap unread, if it asks for none.
+    arguments of build_table_records; None, cap unread, if it asks for none,
+    and None when the grid's reach R is 0. R is the _reach of the widest
+    cell (m_lo, n_hi), at its k for a lone FK count and as f otherwise,
+    which is at least every F and FK cell's, and no table passes it.
 
     A lone count, as in compute, gets 2*ceil(n^(2/3)) entries or the cap,
     whichever is less, but at least ceil(n^(2/3)), which past the cap is
-    what build_sieve refuses, and at most its reach: n for f, the cut-off
-    for fk. M(x) above n^(2/3) costs less by its recursion than by sieving,
-    up to a small multiple of it. Sieve plus count in seconds, fk at m = n/4,
-    k = 2 / f at m = n - 60, at 1/2, 1, 2 and 4 times ceil(n^(2/3)): 0.0043
-    / 0.0032 / 0.0027 / 0.0028 and 0.0065 / 0.0050 / 0.0040 / 0.0037 at
-    n = 10^6, 0.093 / 0.068 / 0.064 / 0.065 and 0.123 / 0.094 / 0.086 /
-    0.089 at n = 10^8, 1.62 / 1.22 / 1.27 / 1.21 and 1.71 / 1.43 / 1.36 /
-    1.51 at n = 10^10 (2 vCPUs, CPython 3.11, minimum of 41, 9 and 3
-    rounds). Twice is fastest in four of the six and within 8% in the
-    others; no other multiple is faster at all three n.
+    what build_sieve refuses, and at most R. M(x) above n^(2/3) costs less
+    by its recursion than by sieving, up to a small multiple of it. Sieve
+    plus count in seconds, fk at m = n/4, k = 2, at 1/2, 1, 2 and 4 times
+    ceil(n^(2/3)): 0.0043 / 0.0032 / 0.0027 / 0.0028 at n = 10^6, 0.093 /
+    0.068 / 0.064 / 0.065 at n = 10^8 and 1.62 / 1.22 / 1.27 / 1.21 at
+    n = 10^10 (2 vCPUs, CPython 3.11, minimum of 41, 9 and 3 rounds).
 
-    Any other grid shares one table up to the largest n, or past the cap a
-    lone count's at that n: F over 1000 narrow cells at n = 10^6 takes 4.3 s
-    on the short one and 1.1 s on the full one (fresh processes).
+    Any other grid shares one table up to R while its largest n fits the
+    cap, and past it a lone count's: F over 1000 narrow cells at n = 10^6
+    takes 4.3 s on the short one and 1.1 s on the full one (fresh processes).
     """
     families, (m, _), (_, n), k_range = grid
     sieved = tuple(family for family in families if family in SIEVED_FAMILIES)
     if not sieved:
         return None
     cap = _resolve_int(args, cfg, "sieve_cap", DEFAULT_LIMIT_CAP)
+    # a grid of one count holds just the cell (m_lo, n_hi)
+    lone = _table_rows(sieved, *grid[1:]) == 1
+    reach = _reach(m, n, k_range[0] if lone and sieved == (Family.FK,) else None)
     need = ceil_cbrt(n * n)
-    limit = min(2 * need, max(need, cap))
-    if _table_rows(sieved, *grid[1:]) == 1:
-        # a grid of one cell holds just (m_lo, n_hi)
-        limit = min(limit, n if sieved == (Family.F,) else _fk_cut_off(m, n, k_range[0]))
-    elif n <= cap:
-        limit = n
+    limit = reach if n <= cap and not lone else min(reach, 2 * need, max(need, cap))
     return build_sieve(limit, cap=cap) if limit else None
 
 

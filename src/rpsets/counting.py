@@ -8,12 +8,12 @@ For the integer interval {m+1, ..., n} with 0 <= m < n:
   phik(m, n, k) the same, restricted to cardinality k
 
 All four are one sum, Sigma mu(d) * g(floor(n/d) - floor(m/d)), with
-g(w) = 2^w - 1 (the nonempty subsets of a w-element set) for f and phi and
-g(w) = C(w, k) for fk and phik. f sums over all d up to n; fk with k >= 2
-stops at d = floor((n-m)/(k-1)), past which every width is below k. Past
-sqrt(n) both take the d in blocks with common quotients, weighted by
-differences of the Mertens function M. phi and phik sum over the squarefree
-divisors of n only. Every value is an exact int.
+g(w) = C(w, k) for fk and phik, and for f and phi g(w) = 2^w - 1 - w, the
+sets of two or more elements, plus the singletons: {1} for f, the elements
+coprime to n for phi. f and fk stop at their _reach, past which every width
+is below 2 or k. Past sqrt(n) both take the d in blocks with common
+quotients, weighted by differences of the Mertens function M. phi and phik
+sum over the squarefree divisors of n only. Every value is an exact int.
 
 count_plane(n) gives all four counts for every m < n and every k at once,
 from a recurrence in m instead of the sums.
@@ -24,7 +24,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import islice, repeat
 from math import comb, isqrt
-from operator import add, floordiv, getitem, sub
+from operator import add, floordiv, getitem, mul, sub
 from typing import NamedTuple
 
 from .exactmath import FACTOR_PAD, FACTOR_SLOPE, binomial, pascal_rows
@@ -69,20 +69,22 @@ def _check_cell(family: Family, m: int, n: int, k: int | None) -> None:
 
 def _mobius_sum(m: int, n: int, weights: dict[int, int], k: int | None) -> int:
     """Sum of weight * g(width) over a width -> summed-mu map, with
-    g(w) = 2^w - 1 when k is None and g(w) = C(w, k) otherwise.
+    g(w) = 2^w - 1 - w when k is None and g(w) = C(w, k) otherwise.
 
     Widths are taken in ascending order, so the (possibly huge) accumulator
     stays small while most of the terms are added. The C(w, k) come from
     math.comb directly when k*k < FACTOR_SLOPE * FACTOR_PAD, as binomial
     would send every width to it anyway, which saves a Python call per
-    width; fk at n = 10^6 sums about 1,250 widths.
+    width; fk at n = 10^6 sums about 1,250 widths. 2^w - 1 - w takes one
+    shift per width, and the total starts at minus the sum of the
+    weight * (1 + w), found by two C-level passes.
     """
     choose = comb if k is not None and k * k < FACTOR_SLOPE * FACTOR_PAD else binomial
-    total = 0
+    total = 0 if k else -sum(weights.values()) - sum(map(mul, weights, weights.values()))
     for width in sorted(weights):
         weight = weights[width]
         if weight:
-            total += weight * ((1 << width) - 1 if k is None else choose(width, k))
+            total += weight << width if k is None else weight * choose(width, k)
     if total < 0:
         raise RuntimeError(f"negative count {total} for m={m}, n={n}")
     return total
@@ -186,33 +188,33 @@ def _divisor_weights(m: int, n: int) -> dict[int, int]:
     return weights
 
 
+def _reach(m: int, n: int, k: int | None) -> int:
+    """The d up to which fk, and f (k None) as at k = 2, read mu and M: 0 when
+    k = 1 or k > n - m, where the sum over the sets of 2 or k elements is empty."""
+    j = 2 if k is None else k
+    # floor(n/d) - floor(m/d) <= floor((n-m)/d) + 1, so once d*(j-1) > n-m
+    # every width is below j and the terms are all zero.
+    d_hi = (n - m) // (j - 1) if 1 < j <= n - m else 0
+    # Raised to the end of its block of n//d: the added d are past the cut
+    # and add nothing, and M(d_hi) is then one of the points M(n//i) that
+    # the blocks read anyway, not a third family of memo points d_hi//i.
+    return d_hi and n // (n // d_hi)
+
+
 def f_interval(m: int, n: int, table: SieveTable) -> int:
     """Number of nonempty relatively prime subsets of {m+1, ..., n}."""
     _check_interval(m, n)
-    return _mobius_sum(m, n, _interval_weights(m, n, n, table), None)
-
-
-def _fk_cut_off(m: int, n: int, k: int) -> int:
-    """The d up to which fk's sum reads mu and M; 0 when k > n - m, as an
-    (n-m)-element set has no k-subsets and the sum is empty."""
-    if k > n - m:
-        return 0
-    # floor(n/d) - floor(m/d) <= floor((n-m)/d) + 1, so once d*(k-1) > n-m
-    # every binomial argument is below k and the terms are all zero.
-    d_hi = n if k == 1 else min(n, (n - m) // (k - 1))
-    # Raised to the end of its block of n//d: the added d are past the cut
-    # and add nothing, and M(d_hi) is then one of the points M(n//j) that
-    # the blocks read anyway, not a third family of memo points d_hi//j.
-    return n // (n // d_hi)
+    d_hi = _reach(m, n, None)  # 0 when n - m = 1, where the only set of gcd 1 is {1}
+    return (m == 0) + (d_hi and _mobius_sum(m, n, _interval_weights(m, n, d_hi, table), None))
 
 
 def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
     """Number of relatively prime k-element subsets of {m+1, ..., n}."""
     _check_interval(m, n)
     _check_k(k)
-    d_hi = _fk_cut_off(m, n, k)
+    d_hi = _reach(m, n, k)
     if not d_hi:
-        return 0
+        return int(m == 0 and k == 1)  # {1} is the one coprime singleton
     return _mobius_sum(m, n, _interval_weights(m, n, d_hi, table), k)
 
 
@@ -220,7 +222,8 @@ def phi_interval(m: int, n: int, table: SieveTable) -> int:
     """Number of nonempty subsets of {m+1, ..., n} whose gcd is coprime to n.
     Needs only n's factorization; the table is not used."""
     _check_interval(m, n)
-    return _mobius_sum(m, n, _divisor_weights(m, n), None)
+    weights = _divisor_weights(m, n)
+    return _mobius_sum(m, n, weights, None) + sum(map(mul, weights, weights.values()))
 
 
 def phik_interval(m: int, n: int, k: int, table: SieveTable) -> int:

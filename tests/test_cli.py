@@ -27,7 +27,7 @@ from rpsets.cli import (
 )
 from rpsets.counting import Family, count_plane, f_interval, fk_interval
 from rpsets.exactmath import decimal_string
-from rpsets.oracle import oracle_count
+from rpsets.oracle import _profile, oracle_count
 from rpsets.sieve import build_sieve
 
 
@@ -106,7 +106,7 @@ def test_compute_sieves_to_twice_n_to_the_two_thirds_inside_its_cap(capsys, monk
         return build_sieve(limit, cap)
 
     monkeypatch.setattr(cli, "build_sieve", record)
-    # ceil((10^6)^(2/3)) = 10^4, and fk's cut-off is n itself
+    # ceil((10^6)^(2/3)) = 10^4, and fk's reach at k = 2 is n itself
     argv = ["compute", "fk", "--m", "250000", "--n", "1000000", "--k", "2"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
@@ -138,23 +138,25 @@ def test_table_sieves_to_its_largest_n_or_as_compute_does_past_the_cap(
     argv = ["table", "--families", "F", "--m", "0..3", "--n", "30..64", "--format", "csv"]
     assert run_cli(capsys, *argv)[0] == EXIT_OK
     assert limits == [64]
-    # past it, the table compute would build for that n: ceil((10^6)^(2/3)) = 10^4
+    # past it, the table compute would build for that n, 2 * ceil((10^6)^(2/3))
+    # = 20,000, cut at the reach of the widest cell: n // (n // 60) = 60
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sieve_cap": 20_000}))
     argv = ["--config", str(cfg), "table", "--families", "F,FK", "--m", "999940",
             "--n", "1000000", "--k", "2", "--format", "csv"]
-    assert run_cli(capsys, *argv) == (EXIT_OK, (
-        "family,m,n,k,value\n"
-        "F,999940,1000000,,1152921503532052987\n"
-        "FK,999940,1000000,2,1087\n"
-    ), "")
-    assert limits == [64, 20_000]
+    out = ("family,m,n,k,value\n"
+           "F,999940,1000000,,1152921503532052987\n"
+           "FK,999940,1000000,2,1087\n")
+    assert run_cli(capsys, *argv) == (EXIT_OK, out, "")
+    assert limits == [64, 60]
     # the values compute prints
     for value, family, *k in (("1152921503532052987", "f"), ("1087", "fk", "--k", "2")):
         argv_compute = ["compute", family, "--m", "999940", "--n", "1000000", *k]
         assert run_cli(capsys, *argv_compute) == (EXIT_OK, value + "\n", ""), family
-    # a cap below 10^4 refuses, naming 10^4
+    # a cap below 10^4 admits that reach, but refuses a wide window, naming 10^4
     cfg.write_text(json.dumps({"sieve_cap": 9_999}))
+    assert run_cli(capsys, *argv) == (EXIT_OK, out, "")
+    argv[6] = "0..1"
     assert run_cli(capsys, *argv) == (
         EXIT_CAPACITY, "", "error: sieve limit 10000 exceeds capacity cap 9999\n"
     )
@@ -177,17 +179,19 @@ def record_sieves(monkeypatch) -> list[int]:
 
 def test_a_one_count_table_sieves_as_compute_does(capsys, monkeypatch):
     limits = record_sieves(monkeypatch)
-    # one F count: 2 * ceil((10^8)^(2/3)) = 430,888, not the 10^8 entries up to n
+    # one F count: its reach n // (n // 10) = 10, not the 10^8 entries up to n
+    # nor the 2 * ceil((10^8)^(2/3)) = 430,888 that a wide window would take
     argv = ["table", "--families", "F", "--m", "99999990", "--n", "100000000", "--format", "csv"]
     assert run_cli(capsys, *argv) == (EXIT_OK, "family,m,n,k,value\nF,99999990,100000000,,981\n", "")
     # PHI reads no table, so F,PHI on one cell is one count too; and so is F
-    # over m past n, as those m add no cell: 2 * ceil((10^6)^(2/3)) = 20,000
+    # over m past n, as those m add no cell, and its one cell of width 1
+    # reaches no d at all
     argv[2:7] = ["F,PHI", "--m", "999990", "--n", "1000000"]
     assert run_cli(capsys, *argv) == (EXIT_OK, "family,m,n,k,value\nF,999990,1000000,,981\n"
                                       "PHI,999990,1000000,,990\n", "")
     argv[2:5] = ["F", "--m", "999999..1000005"]
     assert run_cli(capsys, *argv) == (EXIT_OK, "family,m,n,k,value\nF,999999,1000000,,0\n", "")
-    assert limits == [430_888, 20_000, 20_000]
+    assert limits == [10, 10]
 
     def refuse(limit, cap):
         limits.append(limit)
@@ -197,7 +201,7 @@ def test_a_one_count_table_sieves_as_compute_does(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_sieve", refuse)
     assert run_cli(capsys, "compute", "f", "--m", "99999990", "--n", "100000000") == (
         EXIT_CAPACITY, "", "error: out of memory\n")
-    assert limits[-1] == 430_888
+    assert limits[-1] == 10
 
 
 def test_a_lone_fk_table_sieves_to_its_cut_off(capsys, monkeypatch):
@@ -221,23 +225,53 @@ def test_grids_of_no_count_or_of_more_than_one_sieve_up_to_their_largest_n(
     for grid in (["FK", "--m", "0", "--n", "64", "--k", "1..2"],  # two k
                  ["F,FK", "--m", "0", "--n", "64", "--k", "2"],  # two families
                  ["F", "--m", "0..1", "--n", "64"],  # two cells
-                 ["F", "--m", "10", "--n", "1..64"]):  # no cell
+                 ["F", "--m", "10", "--n", "1..64"]):  # 54 cells, the widest reaching 64
         assert run_cli(capsys, "table", "--families", *grid, "--format", "csv")[0] == EXIT_OK
     assert limits == [64] * 4
-    # past the cap, as compute sizes a table for the largest n
+    # past the cap, as compute sizes a table for the largest n, cut at the
+    # reach of the widest cell, as f: 60; a grid of no cell asks for none
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sieve_cap": 20_000}))
     for grid in (["FK", "--m", "999940", "--n", "1000000", "--k", "2..3"],
                  ["F", "--m", "2000000", "--n", "1000000"]):
         argv = ["--config", str(cfg), "table", "--families", *grid, "--format", "csv"]
         assert run_cli(capsys, *argv)[0] == EXIT_OK
-    assert limits == [64] * 4 + [20_000] * 2
+    assert limits == [64] * 4 + [60]
     # grids of PHI and PHIK read no table, and no cap
     cfg.write_text(json.dumps({"sieve_cap": 0}))
     argv = ["--config", str(cfg), "table", "--families", "PHI,PHIK", "--m", "0", "--n", "6",
             "--k", "1..2", "--format", "csv"]
     assert run_cli(capsys, *argv)[0] == EXIT_OK
-    assert len(limits) == 6
+    assert len(limits) == 5
+
+
+def test_a_grid_of_no_cell_builds_no_table_but_reads_the_cap(capsys, monkeypatch, tmp_path):
+    limits = record_sieves(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sieve_cap": 10}))
+    argv = ["--config", str(cfg), "table", "--families", "F", "--m", "100", "--n", "1..50",
+            "--format", "csv"]
+    assert run_cli(capsys, *argv) == (EXIT_OK, "family,m,n,k,value\n", "")
+    assert limits == []
+    cfg.write_text(json.dumps({"sieve_cap": 0}))
+    assert run_cli(capsys, *argv) == (EXIT_USAGE, "", "error: sieve_cap must be >= 1, got 0\n")
+
+
+def test_f_and_fk_far_out_sieve_no_further_than_their_window(capsys, monkeypatch):
+    limits = record_sieves(monkeypatch)
+    # width 60: f sums over d up to 60, whatever n is; the gcd-state DP
+    # counts the same sets from their gcds alone
+    for m, n, value in ((10**12 - 60, 10**12, 1152921503532052986),
+                        (10**18 - 60, 10**18, 1152921503532052979)):
+        argv = ["compute", "f", "--m", str(m), "--n", str(n)]
+        assert run_cli(capsys, *argv) == (EXIT_OK, f"{value}\n", "")
+        assert sum(c for (g, _), c in _profile(m, n).items() if g == 1) == value
+    assert limits == [60, 60]
+    # fk at k = 1 counts {1} or nothing, and sieves nothing
+    for m, value in ((0, "1"), (1, "0"), (10**12 - 60, "0")):
+        argv = ["compute", "fk", "--m", str(m), "--n", str(10**12), "--k", "1"]
+        assert run_cli(capsys, *argv) == (EXIT_OK, value + "\n", "")
+    assert limits == [60, 60]
 
 
 def test_verify_oracle_past_the_cap_runs_on_a_short_table(capsys, monkeypatch, tmp_path):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from rpsets import counting
 from rpsets.cli import main
 from rpsets.counting import (
+    K_FAMILIES,
     Family,
     _check_cell,
     _mertens,
+    _reach,
     _squarefree_divisors,
     count_plane,
     f_interval,
@@ -19,6 +21,7 @@ from rpsets.counting import (
     phik_interval,
 )
 from rpsets.exactmath import binomial, ceil_cbrt
+from rpsets.oracle import oracle_count
 from rpsets.sieve import build_sieve, prime_factors, squarefree_by_sign
 
 TABLE = build_sieve(3000)
@@ -215,8 +218,8 @@ def test_mertens_split_matches_the_table(x, limit):
 
 @pytest.mark.parametrize("n", [229_999, 300_000])
 def test_recursion_and_cut_off_match_a_table_to_n(n):
-    # a table of n^(2/3) finds M above it by the split and rounds fk's
-    # cut-off to its block; a table reaching n needs no recursion
+    # a table of n^(2/3) finds M above it by the split and rounds the
+    # reach to its block; a table reaching n needs no recursion
     short = build_sieve(ceil_cbrt(n * n))
     for m in (0, 1, n // 3, n - 5000):
         assert f_interval(m, n, short) == f_interval(m, n, FULL), m
@@ -249,6 +252,42 @@ def test_table_size_does_not_change_counts(cell):
     full = all_families(m, n, k, TABLE)
     assert all_families(m, n, k, build_sieve(1)) == full
     assert all_families(m, n, k, build_sieve(ceil_cbrt(n * n))) == full
+
+
+@st.composite
+def far_cells(draw):
+    """(family, m, n, k) of width at most 24 at n up to 10^18, or 10^9 for
+    PHI and PHIK, which factor n by trial division."""
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(1, 10**9 if family in (Family.PHI, Family.PHIK) else 10**18))
+    m = n - draw(st.integers(1, min(n, 24)))
+    return family, m, n, draw(st.integers(1, 4)) if family in K_FAMILIES else None
+
+
+SHORT = build_sieve(100)
+
+
+@settings(max_examples=400, deadline=None)
+@given(far_cells())
+def test_counts_far_out_equal_the_gcd_state_dp(cell):
+    # a table of 100 is short of every n past it, and of the reach of most
+    family, m, n, k = cell
+    count = getattr(counting, f"{family.value.lower()}_interval")
+    args = (m, n, SHORT) if k is None else (m, n, k, SHORT)
+    assert count(*args) == oracle_count(family, m, n, k)
+
+
+def test_the_widest_cell_reaches_furthest():
+    # the table of a grid is sized by the reach of (m_lo, n_hi), as f: no F
+    # or FK cell m_lo <= m < n <= n_hi, at any k, reaches further
+    top = 80
+    furthest = [[0] * (top + 1) for _ in range(top + 2)]  # over cells m >= a, n <= b
+    for a in range(top - 1, -1, -1):
+        for b in range(a + 1, top + 1):
+            own = max(_reach(a, b, k) for k in (None, *range(1, b - a + 2)))
+            furthest[a][b] = max(own, furthest[a + 1][b], furthest[a][b - 1])
+            assert furthest[a][b] == _reach(a, b, None), (a, b)
+    assert _reach(0, top, None) == top and _reach(10, 11, None) == 0
 
 
 @pytest.mark.parametrize("k", [511, 512, 513])
