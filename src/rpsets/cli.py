@@ -84,8 +84,9 @@ def build_table_records(
     decimal, and ks is the k range, or (None,) for F and PHI. Cells come in
     deterministic order: family, then m, then n, ascending.
 
-    The cells are made as they are read, each with one counting call per k.
-    Cells with m >= n are skipped, so an empty intersection yields none.
+    The cells are made as they are read, each with one counting call per
+    k <= n - m; the rows past n - m, which no k-set fits, read "0". Cells
+    with m >= n are skipped, so an empty intersection yields none.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -99,7 +100,9 @@ def build_table_records(
         for m in range(m_lo, m_hi + 1):
             for n in range(max(n_lo, m + 1), n_hi + 1):
                 if takes_k:
-                    values = [decimal_string(counter(m, n, k, table)) for k in ks]
+                    fits = range(ks.start, min(ks.stop, n - m + 1))
+                    values = [decimal_string(counter(m, n, k, table)) for k in fits]
+                    values += ["0"] * (len(ks) - len(fits))
                 else:
                     values = [decimal_string(counter(m, n, table))]
                 yield name, m, n, ks, values

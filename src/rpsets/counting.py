@@ -8,12 +8,13 @@ For the integer interval {m+1, ..., n} with 0 <= m < n:
   phik(m, n, k) the same, restricted to cardinality k
 
 All four are one sum, Sigma mu(d) * g(floor(n/d) - floor(m/d)), with
-g(w) = C(w, k) for fk and phik, and for f and phi g(w) = 2^w - 1 - w, the
-sets of two or more elements, plus the singletons: {1} for f, the elements
-coprime to n for phi. f and fk stop at their _reach, past which every width
-is below 2 or k. Past sqrt(n) both take the d in blocks with common
-quotients, weighted by differences of the Mertens function M. phi and phik
-sum over the squarefree divisors of n only. Every value is an exact int.
+g(w) = C(w, k) for fk and phik and g(w) = 2^w - 1 for phi. f takes
+g(w) = 2^w - 1 - w, the sets of two or more elements, plus the singleton {1}
+when m = 0. f and fk stop at their _reach, past which every width is below
+2 or k. Past sqrt(n) both take the d in blocks with common quotients,
+weighted by differences of the Mertens function M. phi and phik sum over
+the squarefree divisors of n only. Each family reads every k of a cell from
+one width -> Sigma mu(d) map. Every value is an exact int.
 
 count_plane(n) gives all four counts for every m < n and every k at once,
 from a recurrence in m instead of the sums.
@@ -67,20 +68,24 @@ def _check_cell(family: Family, m: int, n: int, k: int | None) -> None:
         raise ValueError(f"family {family.value} does not take k")
 
 
-def _mobius_sum(m: int, n: int, weights: dict[int, int], k: int | None) -> int:
-    """Sum of weight * g(width) over a width -> summed-mu map, with
-    g(w) = 2^w - 1 - w when k is None and g(w) = C(w, k) otherwise.
+def _mobius_sum(
+    m: int, n: int, weights: dict[int, int], k: int | None, total: int = 0
+) -> int:
+    """total plus the sum of weight * g(width) over a width -> summed-mu map,
+    with g(w) = 2^w - 1, the nonempty sets, when k is None and g(w) = C(w, k)
+    otherwise.
 
     Widths are taken in ascending order, so the (possibly huge) accumulator
     stays small while most of the terms are added. The C(w, k) come from
     math.comb directly when k*k < FACTOR_SLOPE * FACTOR_PAD, as binomial
     would send every width to it anyway, which saves a Python call per
-    width; fk at n = 10^6 sums about 1,250 widths. 2^w - 1 - w takes one
-    shift per width, and the total starts at minus the sum of the
-    weight * (1 + w), found by two C-level passes.
+    width; fk at n = 10^6 sums about 1,250 widths. 2^w - 1 takes one shift
+    per width, and the total first drops the sum of the weights, one C-level
+    pass.
     """
     choose = comb if k is not None and k * k < FACTOR_SLOPE * FACTOR_PAD else binomial
-    total = 0 if k else -sum(weights.values()) - sum(map(mul, weights, weights.values()))
+    if k is None:
+        total -= sum(weights.values())
     for width in sorted(weights):
         weight = weights[width]
         if weight:
@@ -179,8 +184,11 @@ def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@lru_cache(maxsize=1)
 def _divisor_weights(m: int, n: int) -> dict[int, int]:
-    """width -> Sigma mu(d) over the divisors d of n with that width."""
+    """width -> Sigma mu(d) over the divisors d of n with that width. The
+    last cell's map is kept, so phi and every k of phik share it; no caller
+    changes it."""
     weights: dict[int, int] = {}
     for d, mu in _squarefree_divisors(n):
         width = n // d - m // d
@@ -201,11 +209,34 @@ def _reach(m: int, n: int, k: int | None) -> int:
     return d_hi and n // (n // d_hi)
 
 
+# The last F or FK cell's (m, n, reach, weights). Keyed on (m, n) alone:
+# every correct table holds the same mu and M, so the map does not depend on
+# which one built it. A map read past a count's own reach serves it too, as
+# the d past that reach only add widths below its k (2 for f), whose terms
+# are 0.
+_last_cell: tuple[int, int, int, dict[int, int]] = (0, 0, 0, {})
+
+
+def _cell_weights(m: int, n: int, d_hi: int, table: SieveTable) -> dict[int, int]:
+    """_interval_weights(m, n, d_hi, table), or the last cell's map when it
+    is (m, n) and reaches d_hi, so every k of a cell shares one map."""
+    global _last_cell
+    last_m, last_n, reach, weights = _last_cell
+    if (last_m, last_n) != (m, n) or reach < d_hi:
+        weights = _interval_weights(m, n, d_hi, table)
+        _last_cell = m, n, d_hi, weights
+    return weights
+
+
 def f_interval(m: int, n: int, table: SieveTable) -> int:
     """Number of nonempty relatively prime subsets of {m+1, ..., n}."""
     _check_interval(m, n)
-    d_hi = _reach(m, n, None)  # 0 when n - m = 1, where the only set of gcd 1 is {1}
-    return (m == 0) + (d_hi and _mobius_sum(m, n, _interval_weights(m, n, d_hi, table), None))
+    d_hi = _reach(m, n, None)
+    if not d_hi:
+        return int(m == 0)  # n - m = 1, where the only set of gcd 1 is {1}
+    weights = _cell_weights(m, n, d_hi, table)
+    # g(w) = 2^w - 1 - w: the kernel's 2^w - 1 less the singletons, and {1}
+    return _mobius_sum(m, n, weights, None, (m == 0) - sum(map(mul, weights, weights.values())))
 
 
 def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
@@ -215,15 +246,14 @@ def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
     d_hi = _reach(m, n, k)
     if not d_hi:
         return int(m == 0 and k == 1)  # {1} is the one coprime singleton
-    return _mobius_sum(m, n, _interval_weights(m, n, d_hi, table), k)
+    return _mobius_sum(m, n, _cell_weights(m, n, d_hi, table), k)
 
 
 def phi_interval(m: int, n: int, table: SieveTable) -> int:
     """Number of nonempty subsets of {m+1, ..., n} whose gcd is coprime to n.
     Needs only n's factorization; the table is not used."""
     _check_interval(m, n)
-    weights = _divisor_weights(m, n)
-    return _mobius_sum(m, n, weights, None) + sum(map(mul, weights, weights.values()))
+    return _mobius_sum(m, n, _divisor_weights(m, n), None)
 
 
 def phik_interval(m: int, n: int, k: int, table: SieveTable) -> int:

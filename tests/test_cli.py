@@ -370,11 +370,36 @@ def test_compute_and_table_read_the_counting_module_at_call_time(capsys, monkeyp
                            "--n", "1..5", "--k", "1..3", "--format", "csv")
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
-    fk_values = [row["value"] for row in rows if row["family"] == "FK"]
-    assert len(fk_values) == 36 and set(fk_values) == {"7"}
+    # no k-set fits past n - m, so those rows read 0 without a counting call
+    fk_values = [(row["value"], int(row["k"]) <= int(row["n"]) - int(row["m"]))
+                 for row in rows if row["family"] == "FK"]
+    assert len(fk_values) == 36 and set(fk_values) == {("7", True), ("0", False)}
     assert "7" not in {row["value"] for row in rows if row["family"] == "F"}
     code, out, _ = run_cli(capsys, "verify", "oracle", "--n-max", "6")
     assert (code, out[-12:]) == (EXIT_OK, " 0 failures\n")
+
+
+def test_a_table_builds_each_cells_weights_once(capsys, monkeypatch):
+    # F and every k of FK read one weight map per cell, PHI and every k of
+    # PHIK one divisor map; the families come one after the other, so each
+    # builds its own
+    built = []
+    interval_weights = counting._interval_weights
+
+    def counted(m, n, d_hi, table):
+        built.append((m, n))
+        return interval_weights(m, n, d_hi, table)
+
+    monkeypatch.setattr(counting, "_interval_weights", counted)
+    monkeypatch.setattr(counting, "_last_cell", (0, 0, 0, {}))
+    counting._divisor_weights.cache_clear()
+    code, _, _ = run_cli(capsys, "table", "--m", "0..5", "--n", "1..9", "--k", "1..12",
+                         "--format", "csv")
+    assert code == EXIT_OK
+    cells = [(m, n) for m in range(6) for n in range(m + 1, 10)]
+    # a cell of width 1 sums no weights: its one set is a singleton
+    assert built == [(m, n) for m, n in cells if n - m > 1] * 2
+    assert counting._divisor_weights.cache_info().misses == 2 * len(cells)
 
 
 def test_integer_options_share_one_resolver(capsys, tmp_path):

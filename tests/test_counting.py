@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -216,15 +217,24 @@ def test_mertens_split_matches_the_table(x, limit):
     assert mertens_by_split(x, build_sieve(limit), {}) == FULL.mertens[x]
 
 
+def fresh(count, *args):
+    """count(*args) with no weight map kept from an earlier cell, so that f
+    and fk read the table they are given: the kept map is reused whichever
+    table built it."""
+    counting._last_cell = (0, 0, 0, {})
+    return count(*args)
+
+
 @pytest.mark.parametrize("n", [229_999, 300_000])
 def test_recursion_and_cut_off_match_a_table_to_n(n):
     # a table of n^(2/3) finds M above it by the split and rounds the
     # reach to its block; a table reaching n needs no recursion
     short = build_sieve(ceil_cbrt(n * n))
     for m in (0, 1, n // 3, n - 5000):
-        assert f_interval(m, n, short) == f_interval(m, n, FULL), m
+        assert fresh(f_interval, m, n, short) == fresh(f_interval, m, n, FULL), m
         for k in (1, 2, 3, 7):
-            assert fk_interval(m, n, k, short) == fk_interval(m, n, k, FULL), (m, k)
+            assert (fresh(fk_interval, m, n, k, short)
+                    == fresh(fk_interval, m, n, k, FULL)), (m, k)
 
 
 def test_mertens_published_values():
@@ -236,7 +246,7 @@ def test_mertens_published_values():
 
 def all_families(m, n, k, table):
     return (
-        f_interval(m, n, table),
+        fresh(f_interval, m, n, table),
         fk_interval(m, n, k, table),
         phi_interval(m, n, table),
         phik_interval(m, n, k, table),
@@ -288,6 +298,33 @@ def test_the_widest_cell_reaches_furthest():
             furthest[a][b] = max(own, furthest[a + 1][b], furthest[a][b - 1])
             assert furthest[a][b] == _reach(a, b, None), (a, b)
     assert _reach(0, top, None) == top and _reach(10, 11, None) == 0
+
+
+def test_every_k_of_a_cell_reads_one_kept_map():
+    # f and fk keep the last cell's weight map, built by whichever table its
+    # first call was given and read as far as that call's k needed, and phi
+    # and phik the last cell's divisor map. Runs of k up, down and mixed with
+    # other cells, on a full table and on one that sends every block to
+    # _mertens, must all give the plane's values.
+    rng = random.Random(24)
+    tables = (build_sieve(60), build_sieve(1))
+    planes = [None] + [count_plane(n) for n in range(1, 61)]
+    cells = rng.sample([(m, n) for n in range(1, 61) for m in range(n)], 120)
+    # k None is f and phi, and k = n - m + 1 fits no set
+    ups = [[(m, n, k) for k in (None, *range(1, n - m + 2))] for m, n in cells]
+    runs = ups + [run[::-1] for run in ups]
+    rng.shuffle(runs)
+    mixed = [call for run in ups for call in run]
+    rng.shuffle(mixed)
+    for i, (m, n, k) in enumerate([call for run in runs for call in run] + mixed):
+        table, plane = tables[i % 2], planes[n]
+        if k is None:
+            found = f_interval(m, n, table), phi_interval(m, n, table)
+            expected = plane.f[m], plane.phi[m]
+        else:
+            found = fk_interval(m, n, k, table), phik_interval(m, n, k, table)
+            expected = (plane.fk[m][k], plane.phik[m][k]) if k <= n - m else (0, 0)
+        assert found == expected, (m, n, k, i % 2)
 
 
 @pytest.mark.parametrize("k", [511, 512, 513])
