@@ -229,7 +229,11 @@ def _cell_weights(m: int, n: int, d_hi: int, table: SieveTable) -> dict[int, int
 
 
 def f_interval(m: int, n: int, table: SieveTable) -> int:
-    """Number of nonempty relatively prime subsets of {m+1, ..., n}."""
+    """Number of nonempty relatively prime subsets of {m+1, ..., n}.
+
+    The cell's width -> weight map stays in memory after the call, for the
+    next f or fk of the same cell, until a count of another cell replaces
+    it: at m = 0 it holds about 2*sqrt(n) widths."""
     _check_interval(m, n)
     d_hi = _reach(m, n, None)
     if not d_hi:
@@ -240,7 +244,8 @@ def f_interval(m: int, n: int, table: SieveTable) -> int:
 
 
 def fk_interval(m: int, n: int, k: int, table: SieveTable) -> int:
-    """Number of relatively prime k-element subsets of {m+1, ..., n}."""
+    """Number of relatively prime k-element subsets of {m+1, ..., n}.
+    Keeps the cell's weight map after the call, as f_interval does."""
     _check_interval(m, n)
     _check_k(k)
     d_hi = _reach(m, n, k)

@@ -91,6 +91,9 @@ def test_compute_fk_sieves_only_up_to_its_cut_off(capsys, monkeypatch):
     assert (code, err) == (EXIT_OK, "")
     # every d past (n - m) // 2 = 500 has a width below 3, so its term is 0
     assert limits == [500]
+    # the cell's kept weight map is reused whichever table built it, so drop
+    # it for the short table to run its own Mertens sums
+    monkeypatch.setattr(counting, "_last_cell", (0, 0, 0, {}))
     assert int(out) == fk_interval(m, n, 3, build_sieve(50))
     # k > n - m: the count is 0 and there is nothing to sieve
     argv[-1] = "1001"
@@ -121,6 +124,9 @@ def test_compute_sieves_to_twice_n_to_the_two_thirds_inside_its_cap(capsys, monk
     assert run_cli(capsys, "--config", str(cfg), *argv) == (
         EXIT_CAPACITY, "", "error: sieve limit 10000 exceeds capacity cap 9999\n"
     )
+    # the cap-15000 run kept the cell's weight map; drop it so the short
+    # table runs its own Mertens sums
+    monkeypatch.setattr(counting, "_last_cell", (0, 0, 0, {}))
     assert int(out) == fk_interval(250_000, 10**6, 2, build_sieve(1000))
 
 
@@ -478,8 +484,10 @@ def _parse_in_chunks(digits: str) -> int:
     return value
 
 
-def test_values_above_4300_digits_print(capsys):
+def test_values_above_4300_digits_print(capsys, monkeypatch):
     expected = f_interval(0, 15_000, build_sieve(15_000))
+    # compute sieves shorter than n; drop the kept map so it reads its own table
+    monkeypatch.setattr(counting, "_last_cell", (0, 0, 0, {}))
     code, out, err = run_cli(capsys, "compute", "f", "--m", "0", "--n", "15000")
     assert code == EXIT_OK, err
     assert len(out) == 4517  # 4516 digits and the newline
